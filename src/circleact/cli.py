@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from datetime import datetime, timezone
 
@@ -191,7 +192,8 @@ def _cmd_solve(args) -> tuple[dict, bool]:
         "character_tol": args.character_tol,
         "counterexamples": counterexamples,
     }
-    return payload, not counterexamples
+    # A run in which no restart converged measured nothing: it fails.
+    return payload, run.summary()["converged"] > 0 and not counterexamples
 
 
 def _cmd_decompose(args) -> tuple[dict, bool]:
@@ -254,6 +256,14 @@ def _cmd_snake(args) -> tuple[dict, bool]:
         )
     report = check_snake(s, t, n, args.tol)
     return {"kind": "snake", "report": report.to_json()}, report.overall_pass
+
+
+def _check_tolerances(args) -> None:
+    for flag in ("tol", "character_tol"):
+        value = getattr(args, flag, None)
+        if value is not None and not (math.isfinite(value) and value > 0):
+            name = "--" + flag.replace("_", "-")
+            raise SchemaError(f"{name}: expected a finite positive number, got {value!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -345,6 +355,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_tolerances(args)
         payload, passed = args.func(args)
         _write_payload(payload, args.output, args.reproducible)
     except SchemaError as exc:

@@ -226,13 +226,6 @@ class CertificateReport:
         return cls(float(obj["tolerance"]), tuple(checks))
 
 
-def _merge_reports(tolerance: float, *reports: CertificateReport) -> CertificateReport:
-    checks = []
-    for r in reports:
-        checks.extend(r.checks)
-    return CertificateReport(tolerance, tuple(checks))
-
-
 class LaurentMatrixPoly:
     """Finite matrix valued Laurent expression over the circle generator.
 

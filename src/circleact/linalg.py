@@ -70,11 +70,6 @@ def frobenius(M: np.ndarray) -> float:
     return float(np.linalg.norm(M))
 
 
-def opnorm_bound(M: np.ndarray) -> float:
-    """Upper bound on the operator norm (the Frobenius norm dominates it)."""
-    return frobenius(M)
-
-
 def kron(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Kronecker product with flat row-major indexing.
 

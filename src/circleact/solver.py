@@ -18,11 +18,12 @@ commutativity residuals so a counterexample would surface immediately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .linalg import adjoint, frobenius
+from .linalg import adjoint
 from .coaction import ConjugatePair, LinearObject, check_conjugate_matrix
 from .certify import certify_commutativity
 
@@ -32,8 +33,11 @@ RNG_FAMILY = "numpy PCG64"
 # Variable indices into the packed point (A, B, C, D).
 _A, _B, _C, _D = 0, 1, 2, 3
 
-# Occurrence codes: how a variable enters a constraint term.
-_PLAIN, _ADJ, _TRANS, _CONJ = "n", "h", "t", "c"
+# Occurrence codes: how a variable enters a constraint term, numbered
+# 2 * transposed + conjugated so that doing one after another is the XOR
+# of their codes.  The occurrence matrices are stacked code-major:
+# variable v under code c is entry 4 * c + v.
+_PLAIN, _CONJ, _TRANS, _ADJ = 0, 1, 2, 3
 
 
 def _constraint_table():
@@ -61,31 +65,69 @@ def _constraint_table():
     return cons
 
 
-_CONSTRAINTS = _constraint_table()
+def _oriented(M):
+    """The four orientations of a stack of matrices, code-major."""
+    Mc = M.conj()
+    return np.concatenate((M, Mc, M.transpose(0, 2, 1), Mc.transpose(0, 2, 1)))
 
 
-def _occur(M, op):
-    if op == _PLAIN:
-        return M
-    if op == _ADJ:
-        return adjoint(M)
-    if op == _TRANS:
-        return M.T
-    return M.conj()
+def _kernel_indices(cons):
+    """Index arrays of the stacked kernel, built once from the table.
+
+    Each output matrix is a row of (left, right) index pairs into a
+    stack, summing their products.  The stack holds the 16 occurrences,
+    a zero matrix that pads short rows and, for the gradient, op(F_c) at
+    17 + 20 * code + c.  Constraint c has one pair per term.  The
+    gradient of variable v has one pair per occurrence: a term M1 @ M2
+    of constraint F sends F @ M2^H to its left factor and M1^H @ F to
+    its right one, and a factor op(v) pulls that back to v through op,
+    which acts on both factors and swaps them when it transposes.
+    """
+    zero, phi = 16, 17
+    terms, pieces = [], [[] for _ in range(4)]
+    for c, (ts, _) in enumerate(cons):
+        terms.append([(4 * o1 + i1, 4 * o2 + i2) for i1, o1, i2, o2 in ts])
+        for i1, o1, i2, o2 in ts:
+            k = o1 ^ o2 ^ _ADJ  # the code of op1(M2^H) and of op2(M1^H)
+            for v, o, pair in ((i1, o1, (phi + 20 * o1 + c, 4 * k + i2)),
+                               (i2, o2, (4 * k + i1, phi + 20 * o2 + c))):
+                pieces[v].append(pair[::-1] if o & _TRANS else pair)
+
+    def padded(rows):
+        width = max(map(len, rows))
+        arr = np.array([row + [(zero, zero)] * (width - len(row)) for row in rows])
+        return arr[..., 0], arr[..., 1]
+
+    identity = [c for c, (_, has_identity) in enumerate(cons) if has_identity]
+    return padded(terms), padded(pieces), np.array(identity)
+
+
+_TERMS, _PIECES, _IDENTITY = _kernel_indices(_constraint_table())
+
+
+def _sum_of_products(S, index):
+    """Row k: sum over j of S[left[k, j]] @ S[right[k, j]], as one matmul
+    of the left factors side by side with the right factors stacked."""
+    left, right = index
+    rows, width = left.shape
+    n = S.shape[1]
+    L = S[left].transpose(0, 2, 1, 3).reshape(rows, n, width * n)
+    return L @ S[right].reshape(rows, width * n, n)
+
+
+def _constraints(X):
+    """Occurrence stack with the zero, and the 20 constraints, at X."""
+    n = X.shape[1]
+    O = np.concatenate((_oriented(X), np.zeros((1, n, n))))
+    F = _sum_of_products(O, _TERMS)
+    F[_IDENTITY] -= np.eye(n)
+    return O, F
 
 
 def residual(A, B, C, D) -> float:
     """Penalty at a point: sum of squared Frobenius norms, 20 terms."""
-    mats = (A, B, C, D)
-    n = A.shape[0]
-    I = np.eye(n, dtype=complex)
-    f = 0.0
-    for terms, has_identity in _CONSTRAINTS:
-        F = -I if has_identity else np.zeros((n, n), dtype=complex)
-        for i1, o1, i2, o2 in terms:
-            F = F + _occur(mats[i1], o1) @ _occur(mats[i2], o2)
-        f += frobenius(F) ** 2
-    return f
+    _, F = _constraints(np.asarray((A, B, C, D), dtype=complex))
+    return float(np.vdot(F, F).real)
 
 
 def gradient(A, B, C, D):
@@ -100,54 +142,22 @@ def gradient(A, B, C, D):
 
 
 def _residual_and_gradient(mats):
-    n = mats[0].shape[0]
-    I = np.eye(n, dtype=complex)
-    f = 0.0
-    G = [np.zeros((n, n), dtype=complex) for _ in range(4)]
-    for terms, has_identity in _CONSTRAINTS:
-        F = -I if has_identity else np.zeros((n, n), dtype=complex)
-        factors = []
-        for i1, o1, i2, o2 in terms:
-            M1 = _occur(mats[i1], o1)
-            M2 = _occur(mats[i2], o2)
-            F = F + M1 @ M2
-            factors.append((i1, o1, i2, o2, M1, M2))
-        f += frobenius(F) ** 2
-        Fh = adjoint(F)
-        for i1, o1, i2, o2, M1, M2 in factors:
-            for idx, op, L, R in ((i1, o1, I, M2), (i2, o2, M1, I)):
-                K = R @ Fh @ L
-                if op == _PLAIN:
-                    G[idx] += adjoint(K)
-                elif op == _ADJ:
-                    G[idx] += K
-                elif op == _TRANS:
-                    G[idx] += K.conj()
-                else:
-                    G[idx] += K.T
-    return f, G
+    """Penalty and gradient stack (4, n, n) at a point."""
+    O, F = _constraints(np.asarray(mats, dtype=complex))
+    G = _sum_of_products(np.concatenate((O, _oriented(F))), _PIECES)
+    return float(np.vdot(F, F).real), G
 
 
 def _pack(mats) -> np.ndarray:
-    return np.concatenate(
-        [np.concatenate([M.real.ravel(), M.imag.ravel()]) for M in mats]
-    )
+    """Real coordinates of a point: real then imaginary part, per variable."""
+    X = np.asarray(mats, dtype=complex)
+    return np.stack((X.real, X.imag), axis=1).ravel()
 
 
-def _unpack(x: np.ndarray, n: int):
-    block = n * n
-    mats = []
-    for i in range(4):
-        re = x[2 * i * block : (2 * i + 1) * block]
-        im = x[(2 * i + 1) * block : (2 * i + 2) * block]
-        mats.append((re + 1j * im).reshape(n, n))
-    return mats
-
-
-def _pack_gradient(G) -> np.ndarray:
-    return np.concatenate(
-        [np.concatenate([2.0 * M.real.ravel(), 2.0 * M.imag.ravel()]) for M in G]
-    )
+def _unpack(x: np.ndarray, n: int) -> np.ndarray:
+    """The (4, n, n) complex stack of a packed point."""
+    parts = x.reshape(4, 2, n, n)
+    return parts[:, 0] + 1j * parts[:, 1]
 
 
 @dataclass(frozen=True)
@@ -169,21 +179,15 @@ class SolverConfig:
             raise ValueError("restarts must be at least 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
+        for name in ("residual_tol", "grad_tol", "step_init"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if self.residual_tol < 1e-14:
             raise ValueError("residual_tol below 1e-14 is not resolvable")
-        if self.grad_tol <= 0 or self.step_init <= 0:
-            raise ValueError("grad_tol and step_init must be positive")
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "restarts": self.restarts,
-            "max_iters": self.max_iters,
-            "residual_tol": self.residual_tol,
-            "grad_tol": self.grad_tol,
-            "step_init": self.step_init,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -243,34 +247,31 @@ class SolverRun:
 
 
 def _minimize(x0, n, max_iters, stop_f, grad_tol, step_init):
-    """Gradient descent with Armijo backtracking on the packed point."""
-    x = x0
-    f, G = _residual_and_gradient(_unpack(x, n))
-    g = _pack_gradient(G)
+    """Gradient descent with Armijo backtracking from the packed point x0,
+    on the complex stack, where the real gradient (2 Re G, 2 Im G) is 2G."""
+    X = _unpack(x0, n)
+    f, G = _residual_and_gradient(X)
     alpha = step_init
     iters = 0
     for _ in range(max_iters):
         if f <= stop_f:
             break
-        gnorm2 = float(g @ g)
+        g = 2.0 * G
+        gnorm2 = float(np.vdot(g, g).real)
         if np.sqrt(gnorm2) <= grad_tol:
             break
-        accepted = False
         while alpha >= 1e-18:
-            xn = x - alpha * g
-            fn = residual(*_unpack(xn, n))
-            if fn <= f - 1e-4 * alpha * gnorm2:
-                accepted = True
+            Xn = X - alpha * g
+            if residual(*Xn) <= f - 1e-4 * alpha * gnorm2:
                 break
             alpha /= 2.0
-        if not accepted:
+        else:
             break
-        x = xn
-        f, G = _residual_and_gradient(_unpack(x, n))
-        g = _pack_gradient(G)
-        alpha = min(alpha * 2.0, 1.0)
+        X = Xn
+        f, G = _residual_and_gradient(X)
+        alpha = min(alpha * 2.0, step_init)
         iters += 1
-    return x, f, iters
+    return _pack(X), f, iters
 
 
 def solve(config: SolverConfig) -> SolverRun:
@@ -287,13 +288,10 @@ def solve(config: SolverConfig) -> SolverRun:
     outcomes = []
     for idx in range(config.restarts):
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, idx)))
-        scale = 1.0 / np.sqrt(2.0 * n)
-        start = [
-            scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-            for _ in range(4)
-        ]
+        # The packed start: real then imaginary parts of A, B, C, D in turn.
+        x0 = (1.0 / np.sqrt(2.0 * n)) * rng.standard_normal(8 * n * n)
         x, f, iters = _minimize(
-            _pack(start),
+            x0,
             n,
             config.max_iters,
             config.residual_tol ** 2,
@@ -350,11 +348,10 @@ def gradient_check(point, seed: int = 0, step: float = 1e-6, directions: int = 3
     returns the worst deviation, relative where the analytic entry is
     large and absolute where it is small.
     """
-    A, B, C, D = point
-    n = A.shape[0]
-    x = _pack([np.asarray(M, dtype=complex) for M in (A, B, C, D)])
-    _, G = _residual_and_gradient(_unpack(x, n))
-    g = _pack_gradient(G)
+    n = np.shape(point[0])[0]
+    x = _pack(point)
+    _, G = _residual_and_gradient(point)
+    g = _pack(2.0 * G)
     rng = np.random.default_rng(np.random.SeedSequence((seed, n, x.size)))
     picks = rng.integers(0, x.size, size=directions)
     worst = 0.0

@@ -102,6 +102,29 @@ class TestExitCodes:
         assert code == 2
         assert "config" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["snake", "--n", "2", "--tol"], "--tol"),
+            (["solve", "--n", "1", "--restarts", "1", "--character-tol"], "--character-tol"),
+        ],
+    )
+    def test_bad_tolerance_exits_two_naming_flag(self, capsys, argv, flag, value):
+        code, out, err = run_cli(capsys, argv + [value])
+        assert code == 2
+        assert out == ""
+        assert flag in err
+
+    def test_solve_without_converged_restart_exits_one(self, capsys):
+        code, out, _ = run_cli(
+            capsys, ["solve", "--n", "2", "--restarts", "2", "--max-iters", "5", "--reproducible"]
+        )
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["run"]["summary"]["converged"] == 0
+        assert payload["counterexamples"] == []
+
 
 class TestStdio:
     def test_stdin_input(self, capsys, monkeypatch):

@@ -15,7 +15,6 @@ from circleact.linalg import (
     matrix_from_json,
     matrix_to_json,
     nullspace_basis,
-    opnorm_bound,
     split_by_gaps,
     unvec,
     vec,
@@ -44,12 +43,6 @@ class TestBasics:
         X = random_complex(rng, 3, 3)
         Y = random_complex(rng, 3, 3)
         assert np.allclose(adjoint(X @ Y), adjoint(Y) @ adjoint(X))
-
-    def test_opnorm_bound_dominates(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            M = random_complex(rng, 4, 4)
-            assert opnorm_bound(M) >= np.linalg.norm(M, 2) - 1e-12
 
 
 class TestKron:

@@ -11,6 +11,7 @@ from circleact.coaction import (
     check_conjugate_raw,
     check_homomorphism,
 )
+from circleact import solver
 from circleact.linalg import frobenius
 from circleact.solver import (
     SolverConfig,
@@ -49,15 +50,15 @@ class TestPenalty:
         rng = np.random.default_rng(2)
         from circleact.coaction import ConjugatePair, LinearObject
 
-        n = 2
-        mats = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-                for _ in range(4)]
-        pair = ConjugatePair(LinearObject(n, mats[0], mats[1]), mats[2], mats[3])
-        expected = (
-            sum(c.residual ** 2 for c in check_homomorphism(pair.object).checks)
-            + sum(c.residual ** 2 for c in check_conjugate_matrix(pair).checks)
-        )
-        assert residual(*mats) == pytest.approx(expected, rel=1e-12)
+        for n in (1, 2, 3, 5):
+            mats = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                    for _ in range(4)]
+            pair = ConjugatePair(LinearObject(n, mats[0], mats[1]), mats[2], mats[3])
+            expected = (
+                sum(c.residual ** 2 for c in check_homomorphism(pair.object).checks)
+                + sum(c.residual ** 2 for c in check_conjugate_matrix(pair).checks)
+            )
+            assert residual(*mats) == pytest.approx(expected, rel=1e-12)
 
 
 class TestGradient:
@@ -73,8 +74,8 @@ class TestGradient:
 
     def test_random_points(self):
         rng = np.random.default_rng(3)
-        for trial in range(20):
-            n = int(rng.integers(1, 4))
+        for trial in range(24):
+            n = int(rng.integers(1, 4)) if trial < 20 else 5
             mats = tuple(
                 rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
                 for _ in range(4)
@@ -99,6 +100,35 @@ class TestMinimize:
         f0 = residual(*_unpack(x0, 1))
         _, f, _ = _minimize(x0, 1, 2000, 1e-20, 1e-12, 1.0)
         assert f < f0 * 1e-10
+
+    def test_step_regrows_up_to_step_init(self, monkeypatch):
+        # Near the origin the penalty is flat enough to accept steps above
+        # 1; after an accepted step the next trial doubles it, capped at
+        # step_init rather than at 1.
+        evaluate, penalty = solver._residual_and_gradient, solver.residual
+        calls = []
+
+        def recorded_evaluate(mats):
+            f, G = evaluate(mats)
+            calls.append((np.array(mats), G))
+            return f, G
+
+        def recorded_penalty(*mats):
+            calls.append((np.array(mats), None))
+            return penalty(*mats)
+
+        monkeypatch.setattr(solver, "_residual_and_gradient", recorded_evaluate)
+        monkeypatch.setattr(solver, "residual", recorded_penalty)
+        x0 = 1e-2 * np.random.default_rng(0).standard_normal(8)
+        _minimize(x0, 1, 5, 1e-20, 1e-12, 8.0)
+        trials, iteration = [], 0
+        for X, G in calls:
+            if G is None:
+                trials.append((iteration, np.linalg.norm(X - base) / np.linalg.norm(2.0 * G0)))
+            else:
+                base, G0, iteration = X, G, iteration + 1
+        assert trials[0] == (1, pytest.approx(8.0))
+        assert max(step for it, step in trials if it > 1) > 1.0
 
 
 class TestSolve:
@@ -167,7 +197,7 @@ class TestSolve:
 
 class TestSampleClassical:
     def test_satisfies_all_constraints_to_rounding(self):
-        for n in (1, 2, 3, 4):
+        for n in (1, 2, 3, 4, 6):
             for seed in range(5):
                 pair = sample_classical(n, seed=seed)
                 f = residual(pair.object.A, pair.object.B, pair.C, pair.D)
@@ -212,3 +242,9 @@ class TestConfigValidation:
     def test_bad_step(self):
         with pytest.raises(ValueError):
             SolverConfig(n=1, step_init=0.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, 0.0])
+    @pytest.mark.parametrize("field", ["residual_tol", "grad_tol", "step_init"])
+    def test_non_finite_or_non_positive_float(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(n=1, **{field: value})
