@@ -25,14 +25,13 @@ from .linalg import (
     adjoint,
     as_vector,
     frobenius,
-    hermitian_eig,
     kron,
     matrix_to_json,
     nullspace_basis,
-    split_by_gaps,
     unvec,
 )
 from .coaction import CertificateReport, CheckResult, LinearObject
+from .certify import split_hermitian
 
 
 class DecompositionFailure(RuntimeError):
@@ -127,52 +126,37 @@ class Decomposition:
 def decompose(X: LinearObject, tol: float = 1e-9, seed: int = 0) -> Decomposition:
     """Split a candidate into irreducible summands.
 
-    Strategy: draw a random self adjoint element of the self morphism
-    space, split its spectrum into well separated clusters, compress the
-    candidate onto each cluster and recurse.  Depth is capped by the
-    dimension.  The collected isometries are certified (orthonormal
-    columns, complete, intertwining within tol*sqrt(n)); any failure
-    raises DecompositionFailure.
+    Strategy: the self morphism space End(X) is computed once, and the
+    Hermitian parts of its basis are handed to the shared splitter
+    ``split_hermitian``.  For a projection P in End(X) the commutant of
+    the compressed candidate is P End(X) P, so compressing the root
+    basis stands in for recomputing a morphism space at every node.
+    End(X) always contains the identity, so an empty one means tol is
+    below the noise floor and raises DecompositionFailure.  A leaf of
+    dimension > 1 must have a one dimensional self morphism space.  The
+    collected isometries are then certified (orthonormal columns,
+    complete, intertwining within tol*sqrt(n)); any failure raises
+    DecompositionFailure.
 
     Deterministic for fixed (X, tol, seed); summands come out ordered by
     the eigenvalue clusters of the random words.
     """
+    mor = morphism_space(X, X, tol)
+    if mor.dim == 0:
+        raise DecompositionFailure(
+            f"the self morphism space is empty at tol={tol:g}; the identity always "
+            "intertwines, so the tolerance is below the numerical noise floor"
+        )
+    basis = np.stack(mor.basis)
+    basis_h = basis.conj().transpose(0, 2, 1)
+    family = np.concatenate([basis + basis_h, 1j * (basis - basis_h)]) / 2.0
     rng = np.random.default_rng(np.random.SeedSequence((seed, X.n)))
-    gap_tol = max(1e-7, 100.0 * tol)
-
-    def scalar_defect(H):
-        m = H.shape[0]
-        return frobenius(H - (np.trace(H) / m) * np.eye(m))
-
-    def rec(obj, depth):
-        if depth > X.n:
-            raise DecompositionFailure("recursion exceeded the dimension bound")
-        mor = morphism_space(obj, obj, tol)
-        if mor.dim <= 1:
-            return [(obj, np.eye(obj.n, dtype=complex))]
-        for _ in range(6):
-            coeffs = rng.standard_normal(mor.dim) + 1j * rng.standard_normal(mor.dim)
-            R = sum(c * T for c, T in zip(coeffs, mor.basis))
-            for H in ((R + adjoint(R)) / 2.0, (R - adjoint(R)) / 2.0j):
-                if scalar_defect(H) <= gap_tol:
-                    continue
-                w, U = hermitian_eig(H)
-                scale = max(1.0, float(np.max(np.abs(w))))
-                clusters = split_by_gaps(w, gap_tol * scale)
-                if len(clusters) <= 1:
-                    continue
-                out = []
-                for cl in clusters:
-                    S = U[:, cl]
-                    sub = LinearObject(
-                        len(cl), adjoint(S) @ obj.A @ S, adjoint(S) @ obj.B @ S
-                    )
-                    for leaf, V in rec(sub, depth + 1):
-                        out.append((leaf, S @ V))
-                return out
-        raise DecompositionFailure("no splitting word found for a reducible candidate")
-
-    summands = rec(X, 0)
+    summands = []
+    for V in split_hermitian(family, tol, rng):
+        leaf = LinearObject(V.shape[1], adjoint(V) @ X.A @ V, adjoint(V) @ X.B @ V)
+        if leaf.n > 1 and morphism_space(leaf, leaf, tol).dim != 1:
+            raise DecompositionFailure("no splitting word found for a reducible candidate")
+        summands.append((leaf, V))
 
     n = X.n
     check_tol = tol * np.sqrt(n)

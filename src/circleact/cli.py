@@ -8,7 +8,8 @@ stdout).  Subcommands compose: an output envelope carrying an object
 wherever an object or pair document is expected.  Exit codes: 0 all
 checks passed, 1 a check failed or a counterexample was found, 2
 input/output or schema trouble (with a diagnostic naming the offending
-JSON path, never a stack trace).
+JSON path, never a stack trace).  A numerical routine that fails to
+converge is a measured failure and exits 1.
 
 Identical invocations produce byte identical output except for the
 "timestamp" field, which --reproducible suppresses.
@@ -25,7 +26,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .linalg import SchemaError, vector_from_json
+from .linalg import NoConvergence, SchemaError, vector_from_json
 from .coaction import (
     CertificateReport,
     CheckResult,
@@ -66,6 +67,8 @@ def _read_payload(path):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{where}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise SchemaError(f"{where}: JSON nested too deeply") from exc
 
 
 def _unwrap(payload):
@@ -258,12 +261,15 @@ def _cmd_snake(args) -> tuple[dict, bool]:
     return {"kind": "snake", "report": report.to_json()}, report.overall_pass
 
 
-def _check_tolerances(args) -> None:
+def _check_arguments(args) -> None:
     for flag in ("tol", "character_tol"):
         value = getattr(args, flag, None)
         if value is not None and not (math.isfinite(value) and value > 0):
             name = "--" + flag.replace("_", "-")
             raise SchemaError(f"{name}: expected a finite positive number, got {value!r}")
+    # solve checks its --n through SolverConfig.
+    if args.func in (_cmd_sample, _cmd_snake) and args.n is not None and args.n < 1:
+        raise SchemaError(f"--n: expected a positive integer, got {args.n}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -355,12 +361,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_tolerances(args)
+        _check_arguments(args)
         payload, passed = args.func(args)
         _write_payload(payload, args.output, args.reproducible)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except NoConvergence as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, KeyError, TypeError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

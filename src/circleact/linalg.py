@@ -5,11 +5,12 @@ Everything downstream works with square complex matrices of modest size
 helpers here add the validation, the eigensolver, the nullspace
 extraction, and the JSON codecs that the rest of the package relies on.
 
-The eigensolver is a self-contained cyclic Jacobi iteration rather than
-a LAPACK call so that the certification path does not depend on an
-opaque backend.  numpy/scipy are still used for ordinary arithmetic,
-Kronecker products, and the pivoted QR factorization underlying
-nullspace extraction.
+The heavy lifting is LAPACK's: ``eigh`` for Hermitian eigenproblems and
+pivoted Householder QR for nullspaces.  The wrappers add what LAPACK
+does not check (shapes, finiteness, Hermitian input) and turn its
+failures into this module's exceptions.  Nothing downstream trusts a
+factorization blindly: every certificate is a residual recomputed with
+plain matrix products.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ class NotHermitian(ValueError):
 
 
 class NoConvergence(RuntimeError):
-    """Iteration exceeded its sweep budget without meeting tolerance."""
+    """A numerical routine failed to converge."""
 
 
 class SchemaError(ValueError):
@@ -97,63 +98,27 @@ def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 
 def hermitian_eig(H, *, herm_tol: float = 1e-12):
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a Hermitian matrix by LAPACK ``eigh``.
 
     Returns (eigenvalues, W) with eigenvalues real and ascending and W
     unitary, H = W @ diag(eigenvalues) @ W*.  Raises NotHermitian when
     the input deviates from its adjoint by more than herm_tol relative to
-    max(1, frobenius(H)), and NoConvergence if the off-diagonal mass has
-    not collapsed after 100*n sweeps.
+    max(1, frobenius(H)); the Hermitian part (H + H*)/2 is what gets
+    diagonalized.  A LAPACK convergence failure raises NoConvergence.
     """
     H = as_matrix(H, path="hermitian matrix")
     n = H.shape[0]
     if H.shape[1] != n:
         raise DimensionMismatch(f"expected a square matrix, got {H.shape}")
-    scale = max(1.0, frobenius(H))
-    if frobenius(H - adjoint(H)) > herm_tol * scale:
+    if frobenius(H - adjoint(H)) > herm_tol * max(1.0, frobenius(H)):
         raise NotHermitian(
             f"matrix deviates from its adjoint by more than {herm_tol} relative"
         )
-    A = (H + adjoint(H)) / 2.0
-    W = np.eye(n, dtype=complex)
-    if n == 1:
-        return np.array([A[0, 0].real]), W
-
-    off_tol = 5e-15 * scale
-    max_sweeps = 100 * n
-    for _ in range(max_sweeps):
-        # Off-diagonal mass measured entrywise; a difference of squared
-        # norms would cancel catastrophically near convergence.
-        off = frobenius(A - np.diag(np.diag(A)))
-        if off <= off_tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= off_tol / n:
-                    continue
-                app = A[p, p].real
-                aqq = A[q, q].real
-                # Unitary plane rotation zeroing A[p, q]: beta carries the
-                # phase, t is the smaller root of t^2 - 2*tau*t - 1 = 0.
-                beta = apq / abs(apq)
-                tau = (aqq - app) / (2.0 * abs(apq))
-                if tau == 0.0:
-                    t = 1.0
-                else:
-                    t = -np.sign(tau) / (abs(tau) + np.hypot(1.0, tau))
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                J2 = np.array([[c, -s * beta], [s * np.conj(beta), c]])
-                A[:, [p, q]] = A[:, [p, q]] @ J2
-                A[[p, q], :] = adjoint(J2) @ A[[p, q], :]
-                W[:, [p, q]] = W[:, [p, q]] @ J2
-    else:
-        raise NoConvergence(f"Jacobi iteration did not converge in {max_sweeps} sweeps")
-
-    w = np.diag(A).real.copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], W[:, order]
+    try:
+        w, W = np.linalg.eigh((H + adjoint(H)) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigh did not converge: {exc}") from exc
+    return w, W
 
 
 def nullspace_basis(M, tol: float = 1e-9) -> list[np.ndarray]:

@@ -13,7 +13,7 @@ from circleact.category import (
     morphism_space,
     tensor_product,
 )
-from circleact.certify import canonical_dual, classical_form
+from circleact.certify import canonical_dual, classical_form, split_hermitian
 from circleact.coaction import (
     LinearObject,
     check_homomorphism,
@@ -244,6 +244,63 @@ class TestDecompose:
         )
         cf_phases = sorted((complex(c.phase) for c in cf.characters), key=key)
         assert np.allclose(dec_phases, cf_phases, atol=1e-6)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize(
+        "build, k",
+        [
+            (lambda X: direct_sum(X, X), 2),
+            (lambda X: tensor_product(X, conjugate_object(X)), 3),
+        ],
+        ids=["sum_XX", "tensor_X_conjX"],
+    )
+    def test_multiplicities_split_to_characters(self, build, k, seed):
+        # Repeated characters make the commutant non-commutative, which
+        # random-phase fusion never produces.
+        n = 3
+        Y = build(sample_classical(n, seed=seed).object)
+        decomp = decompose(Y, seed=seed)
+        assert len(decomp.summands) == n * k
+        assert all(leaf.n == 1 for leaf, _ in decomp.summands)
+        cf = classical_form(Y, seed=seed)
+
+        def key(kind_phase):
+            kind, z = kind_phase
+            return kind, round(z.real, 6), round(z.imag, 6)
+
+        got = sorted(
+            (
+                ("rotation" if abs(leaf.A[0, 0]) >= abs(leaf.B[0, 0]) else "reflection",
+                 complex(leaf.A[0, 0] + leaf.B[0, 0]))
+                for leaf, _ in decomp.summands
+            ),
+            key=key,
+        )
+        want = sorted(((c.kind, complex(c.phase)) for c in cf.characters), key=key)
+        assert [kind for kind, _ in got] == [kind for kind, _ in want]
+        assert np.allclose([z for _, z in got], [z for _, z in want], atol=1e-6)
+
+
+class TestSplitHermitian:
+    def test_degenerate_joint_spectrum(self):
+        # Joint eigenvalues (1, 0), (1, 0), (1, 5), (-2, 5): the first two
+        # slots coincide, so they must stay together in one block.
+        rng = np.random.default_rng(21)
+        Q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        family = np.stack(
+            [Q @ np.diag(d).astype(complex) @ adjoint(Q) for d in ([1, 1, 1, -2], [0, 0, 5, 5])]
+        )
+        blocks = split_hermitian(family, 1e-9, np.random.default_rng(0))
+        assert sorted(V.shape[1] for V in blocks) == [1, 1, 2]
+        W = np.hstack(blocks)
+        assert frobenius(adjoint(W) @ W - np.eye(4)) <= 1e-12
+        for V in blocks:
+            d = V.shape[1]
+            for F in family:
+                C = adjoint(V) @ F @ V
+                assert frobenius(C - np.trace(C) / d * np.eye(d)) <= 1e-12
+                # V's range is invariant: F V = V (V* F V)
+                assert frobenius(F @ V - V @ C) <= 1e-12
 
 
 class TestCheckSnake:

@@ -11,6 +11,7 @@ import pytest
 
 from circleact.cli import main
 from circleact.coaction import LinearObject
+from circleact.linalg import NoConvergence
 from circleact.solver import sample_classical
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -115,6 +116,43 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert flag in err
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["snake", "sample"])
+    def test_non_positive_n_exits_two_naming_flag(self, capsys, command, value):
+        code, out, err = run_cli(capsys, [command, "--n", value])
+        assert code == 2
+        assert out == ""
+        assert "--n" in err
+        assert "Traceback" not in err
+
+    def test_deeply_nested_json_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("[" * 200000))
+        code, out, err = run_cli(capsys, ["check"])
+        assert code == 2
+        assert out == ""
+        assert "nested too deeply" in err
+        assert "Traceback" not in err
+
+    def test_no_convergence_exits_one(self, capsys, monkeypatch, tmp_path):
+        def fail(*_args, **_kwargs):
+            raise NoConvergence("eigh did not converge")
+
+        monkeypatch.setattr("circleact.cli.classical_form", fail)
+        path = write_json(tmp_path / "pair.json", sample_classical(2, seed=0).to_json())
+        code, _, err = run_cli(capsys, ["certify", "--input", path])
+        assert code == 1
+        assert "did not converge" in err
+
+    def test_decompose_below_noise_floor_exits_one(self, capsys, tmp_path):
+        # At this tolerance End(X) comes out empty; reading that as
+        # "irreducible" would certify a reducible object.
+        path = write_json(tmp_path / "obj.json", sample_classical(3, seed=1).object.to_json())
+        code, out, _ = run_cli(capsys, ["decompose", "--input", path, "--tol", "1e-30"])
+        assert code == 1
+        payload = json.loads(out)
+        assert "error" in payload
+        assert "decomposition" not in payload
 
     def test_solve_without_converged_restart_exits_one(self, capsys):
         code, out, _ = run_cli(

@@ -5,6 +5,7 @@ import pytest
 
 from circleact.linalg import (
     DimensionMismatch,
+    NoConvergence,
     NotHermitian,
     SchemaError,
     adjoint,
@@ -104,6 +105,15 @@ class TestHermitianEig:
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatch):
             hermitian_eig(np.zeros((2, 3)))
+
+    def test_lapack_failure_raises_no_convergence(self, monkeypatch):
+        # LinAlgError is a ValueError, which the CLI reads as bad input.
+        def fail(_H):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NoConvergence):
+            hermitian_eig(np.eye(2))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_reconstruction_random(self, seed):
