@@ -30,8 +30,14 @@ from .linalg import (
     nullspace_basis,
     unvec,
 )
-from .coaction import CertificateReport, CheckResult, LinearObject
-from .certify import split_hermitian
+from .coaction import CertificateReport, CheckResult, LinearObject, check_homomorphism
+from .certify import (
+    AmbiguousSlot,
+    ConstraintViolation,
+    NotSimultaneouslyDiagonalizable,
+    classical_form,
+    split_hermitian,
+)
 
 
 class DecompositionFailure(RuntimeError):
@@ -126,20 +132,59 @@ class Decomposition:
 def decompose(X: LinearObject, tol: float = 1e-9, seed: int = 0) -> Decomposition:
     """Split a candidate into irreducible summands.
 
-    Strategy: the self morphism space End(X) is computed once, and the
-    Hermitian parts of its basis are handed to the shared splitter
-    ``split_hermitian``.  For a projection P in End(X) the commutant of
-    the compressed candidate is P End(X) P, so compressing the root
-    basis stands in for recomputing a morphism space at every node.
-    End(X) always contains the identity, so an empty one means tol is
-    below the noise floor and raises DecompositionFailure.  A leaf of
-    dimension > 1 must have a one dimensional self morphism space.  The
-    collected isometries are then certified (orthonormal columns,
-    complete, intertwining within tol*sqrt(n)); any failure raises
-    DecompositionFailure.
+    Checks run in this order:
+
+    1. The homomorphism equations.  An input failing them raises
+       DecompositionFailure naming the failed equations.  One passing
+       them has a *-closed End(X), since every intertwiner commutes
+       with the unitary U = A + B and the projection P = A*A.
+    2. The classical route: ``classical_form`` (which also certifies
+       commutativity).  Each column of its common eigenbasis W is an
+       isometry onto a one dimensional summand, whose coefficients are
+       the diagonal entries of W* A W and W* B W.
+    3. The commutant route, taken only when ``classical_form`` raises
+       ConstraintViolation, NotSimultaneouslyDiagonalizable or
+       AmbiguousSlot: ``_decompose_commutant`` splits End(X).
+
+    Whichever route ran, the summands are then certified (orthonormal
+    columns, complete, intertwining within tol*sqrt(n)); any failure
+    raises DecompositionFailure.  Nothing is certified by construction.
 
     Deterministic for fixed (X, tol, seed); summands come out ordered by
     the eigenvalue clusters of the random words.
+    """
+    hom = check_homomorphism(X, tol)
+    if not hom.overall_pass:
+        failed = ", ".join(c.name for c in hom.checks if not c.passed)
+        raise DecompositionFailure(
+            f"object fails the homomorphism equations {failed} "
+            f"(max residual {hom.max_residual():.3e})"
+        )
+    try:
+        W = classical_form(X, tol, seed=seed).W
+    except (ConstraintViolation, NotSimultaneouslyDiagonalizable, AmbiguousSlot):
+        return _decompose_commutant(X, tol, seed)
+    Ad = adjoint(W) @ X.A @ W
+    Bd = adjoint(W) @ X.B @ W
+    summands = [
+        (LinearObject(1, Ad[i : i + 1, i : i + 1], Bd[i : i + 1, i : i + 1]), W[:, i : i + 1])
+        for i in range(X.n)
+    ]
+    return _certified_decomposition(X, summands, tol, seed)
+
+
+def _decompose_commutant(X: LinearObject, tol: float, seed: int) -> Decomposition:
+    """Split X along its self morphism space End(X).
+
+    End(X) is computed once, and the Hermitian parts of its basis are
+    handed to the shared splitter ``split_hermitian``.  For a projection
+    P in End(X) the commutant of the compressed candidate is P End(X) P,
+    so compressing the root basis stands in for recomputing a morphism
+    space at every node.  End(X) always contains the identity, so an
+    empty one means tol is below the noise floor and raises
+    DecompositionFailure.  A leaf of dimension > 1 must have a one
+    dimensional self morphism space.  This route needs no commutativity,
+    and it is the independent oracle for the classical route.
     """
     mor = morphism_space(X, X, tol)
     if mor.dim == 0:
@@ -157,7 +202,13 @@ def decompose(X: LinearObject, tol: float = 1e-9, seed: int = 0) -> Decompositio
         if leaf.n > 1 and morphism_space(leaf, leaf, tol).dim != 1:
             raise DecompositionFailure("no splitting word found for a reducible candidate")
         summands.append((leaf, V))
+    return _certified_decomposition(X, summands, tol, seed)
 
+
+def _certified_decomposition(
+    X: LinearObject, summands: list, tol: float, seed: int
+) -> Decomposition:
+    """Check the summands of X at tol*sqrt(n) and wrap them up."""
     n = X.n
     check_tol = tol * np.sqrt(n)
     total = np.zeros((n, n), dtype=complex)

@@ -155,7 +155,7 @@ def matrix_to_json(M: np.ndarray) -> dict:
     """Serialize to {"rows", "cols", "data"} with row-major [re, im] pairs."""
     M = as_matrix(M)
     rows, cols = M.shape
-    data = [[float(z.real), float(z.imag)] for z in M.ravel(order="C")]
+    data = np.stack([M.real, M.imag], -1).reshape(-1, 2).tolist()
     return {"rows": rows, "cols": cols, "data": data}
 
 
@@ -183,10 +183,7 @@ def matrix_from_json(obj, *, path: str = "matrix") -> np.ndarray:
 def vector_to_json(v: np.ndarray) -> dict:
     """Serialize to {"dim", "data"} with [re, im] pairs."""
     v = as_vector(v)
-    return {
-        "dim": int(v.size),
-        "data": [[float(z.real), float(z.imag)] for z in v],
-    }
+    return {"dim": int(v.size), "data": np.stack([v.real, v.imag], -1).tolist()}
 
 
 def vector_from_json(obj, *, path: str = "vector") -> np.ndarray:

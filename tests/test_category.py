@@ -5,6 +5,7 @@ import pytest
 
 from circleact.category import (
     DecompositionFailure,
+    _decompose_commutant,
     check_snake,
     conjugate_object,
     decompose,
@@ -38,6 +39,16 @@ def phases(decomp_obj, kind):
         elif kind == "reflection" and abs(b) > abs(a):
             out.append(complex(b))
     return out
+
+
+def kind_phase_multiset(decomp):
+    """Sorted (kind, phase) of the 1-dim summands of a Decomposition."""
+    out = []
+    for leaf, _ in decomp.summands:
+        assert leaf.n == 1
+        a, b = complex(leaf.A[0, 0]), complex(leaf.B[0, 0])
+        out.append(("rotation", a) if abs(a) >= abs(b) else ("reflection", b))
+    return sorted(out, key=lambda kz: (kz[0], round(kz[1].real, 6), round(kz[1].imag, 6)))
 
 
 class TestDirectSum:
@@ -235,8 +246,10 @@ class TestDecompose:
             assert all(leaf.n == 1 for leaf, _ in decomp.summands)
 
     def test_agrees_with_classical_form_multiset(self):
+        # decompose itself runs classical_form, so the End(X) route is
+        # the independent side of this comparison.
         X = sample_classical(4, seed=14).object
-        decomp = decompose(X, seed=14)
+        decomp = _decompose_commutant(X, 1e-9, 14)
         cf = classical_form(X, seed=14)
         key = lambda z: (z.real, z.imag)
         dec_phases = sorted(
@@ -259,26 +272,101 @@ class TestDecompose:
         # random-phase fusion never produces.
         n = 3
         Y = build(sample_classical(n, seed=seed).object)
-        decomp = decompose(Y, seed=seed)
+        decomp = _decompose_commutant(Y, 1e-9, seed)
         assert len(decomp.summands) == n * k
         assert all(leaf.n == 1 for leaf, _ in decomp.summands)
         cf = classical_form(Y, seed=seed)
-
-        def key(kind_phase):
-            kind, z = kind_phase
-            return kind, round(z.real, 6), round(z.imag, 6)
-
-        got = sorted(
-            (
-                ("rotation" if abs(leaf.A[0, 0]) >= abs(leaf.B[0, 0]) else "reflection",
-                 complex(leaf.A[0, 0] + leaf.B[0, 0]))
-                for leaf, _ in decomp.summands
-            ),
-            key=key,
+        got = kind_phase_multiset(decomp)
+        want = sorted(
+            ((c.kind, complex(c.phase)) for c in cf.characters),
+            key=lambda kz: (kz[0], round(kz[1].real, 6), round(kz[1].imag, 6)),
         )
-        want = sorted(((c.kind, complex(c.phase)) for c in cf.characters), key=key)
         assert [kind for kind, _ in got] == [kind for kind, _ in want]
         assert np.allclose([z for _, z in got], [z for _, z in want], atol=1e-6)
+
+
+def refuse_commutant_route(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("decompose took the End(X) route")
+
+    monkeypatch.setattr("circleact.category._decompose_commutant", refuse)
+
+
+class TestDecomposeRoutes:
+    def test_non_homomorphism_rejected_naming_equations(self):
+        # The nilpotent shift has a commutant that is not *-closed; it must
+        # be refused for what it is, not for a failed intertwining check.
+        shift = LinearObject(2, np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)))
+        with pytest.raises(DecompositionFailure, match=r"homomorphism equations .*AA\*\+BB\*-I"):
+            decompose(shift)
+
+    def test_commutant_route_rejects_empty_self_morphism_space(self):
+        # End(X) always holds the identity; empty means tol is below the
+        # noise floor, which must not read as "irreducible".
+        X = sample_classical(3, seed=1).object
+        with pytest.raises(DecompositionFailure, match="self morphism space is empty"):
+            _decompose_commutant(X, 1e-30, 0)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda s: tensor_product(sample_classical(2, seed=s).object,
+                                     sample_classical(3, seed=s + 10).object),
+            lambda s: tensor_product(sample_classical(4, seed=s).object,
+                                     sample_classical(4, seed=s + 10).object),
+            lambda s: tensor_product(sample_classical(8, seed=s).object,
+                                     sample_classical(2, seed=s + 10).object),
+            lambda s: tensor_product(sample_classical(3, seed=s).object,
+                                     conjugate_object(sample_classical(3, seed=s).object)),
+            lambda s: tensor_product(sample_classical(4, seed=s).object,
+                                     conjugate_object(sample_classical(4, seed=s).object)),
+            lambda s: direct_sum(sample_classical(4, seed=s).object,
+                                 sample_classical(4, seed=s).object),
+            lambda s: direct_sum(sample_classical(8, seed=s).object,
+                                 sample_classical(8, seed=s).object),
+        ],
+        ids=["X2_Y3", "X4_Y4", "X8_Y2", "X3_conjX3", "X4_conjX4", "X4_sum_X4", "X8_sum_X8"],
+    )
+    def test_classical_route_agrees_with_commutant_route(self, monkeypatch, build, seed):
+        Z = build(seed)
+        assert Z.n <= 16
+        oracle = _decompose_commutant(Z, 1e-9, seed)
+        refuse_commutant_route(monkeypatch)
+        fast = decompose(Z, seed=seed)
+        assert len(fast.summands) == len(oracle.summands) == Z.n
+        got, want = kind_phase_multiset(fast), kind_phase_multiset(oracle)
+        assert [k for k, _ in got] == [k for k, _ in want]
+        assert np.allclose([z for _, z in got], [z for _, z in want], atol=1e-6)
+
+    def test_non_commutative_object_takes_commutant_route(self, monkeypatch):
+        # U a real rotation, P = diag(1, 0): the homomorphism equations
+        # hold but A = UP is not normal, so classical_form refuses and the
+        # End(X) route finds U and P irreducible together.
+        c, s = np.cos(0.7), np.sin(0.7)
+        U = np.array([[c, -s], [s, c]])
+        P = np.diag([1.0, 0.0])
+        X = LinearObject(2, U @ P, U @ (np.eye(2) - P))
+        assert check_homomorphism(X).overall_pass
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return _decompose_commutant(*args)
+
+        monkeypatch.setattr("circleact.category._decompose_commutant", spy)
+        decomp = decompose(X, seed=4)
+        assert len(calls) == 1
+        assert [leaf.n for leaf, _ in decomp.summands] == [2]
+
+    def test_classical_route_deterministic_at_size_64(self, monkeypatch):
+        Z = tensor_product(sample_classical(8, seed=1).object, sample_classical(8, seed=2).object)
+        refuse_commutant_route(monkeypatch)
+        d1, d2 = decompose(Z, seed=5), decompose(Z, seed=5)
+        assert len(d1.summands) == 64
+        for (l1, V1), (l2, V2) in zip(d1.summands, d2.summands):
+            assert np.array_equal(V1, V2)
+            assert np.array_equal(l1.A, l2.A) and np.array_equal(l1.B, l2.B)
 
 
 class TestSplitHermitian:

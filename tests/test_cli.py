@@ -145,14 +145,24 @@ class TestExitCodes:
         assert "did not converge" in err
 
     def test_decompose_below_noise_floor_exits_one(self, capsys, tmp_path):
-        # At this tolerance End(X) comes out empty; reading that as
-        # "irreducible" would certify a reducible object.
+        # At this tolerance the homomorphism equations' rounding residuals
+        # already fail, so decompose refuses before either route runs.
         path = write_json(tmp_path / "obj.json", sample_classical(3, seed=1).object.to_json())
         code, out, _ = run_cli(capsys, ["decompose", "--input", path, "--tol", "1e-30"])
         assert code == 1
         payload = json.loads(out)
         assert "error" in payload
         assert "decomposition" not in payload
+
+    def test_decompose_non_homomorphism_exits_one_naming_equations(self, capsys, tmp_path):
+        path = write_json(tmp_path / "obj.json", SHIFT2.to_json())
+        code, out, err = run_cli(capsys, ["decompose", "--input", path])
+        assert code == 1
+        payload = json.loads(out)
+        assert "decomposition" not in payload
+        assert payload["error"].startswith("object fails the homomorphism equations AA*+BB*-I")
+        assert "max residual 1.000e+00" in payload["error"]
+        assert "Traceback" not in err
 
     def test_solve_without_converged_restart_exits_one(self, capsys):
         code, out, _ = run_cli(

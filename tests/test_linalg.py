@@ -1,5 +1,7 @@
 """Matrix kernel tests: Kronecker conventions, eigensolver, nullspace, codecs."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,24 @@ class TestJsonCodecs:
         rng = np.random.default_rng(10)
         v = random_complex(rng, 4, 1)[:, 0]
         assert np.array_equal(vector_from_json(vector_to_json(v)), v)
+
+    @pytest.mark.parametrize("shape", [(6, 6), (36, 36), (3, 5), (0, 0), (0, 4)])
+    def test_encoding_bytes_match_per_entry_formula(self, shape):
+        # The encoders build their pairs with one numpy call; the bytes
+        # json.dumps writes must equal those of the per-entry float()
+        # formula, signed zeros and extreme exponents included.
+        rng = np.random.default_rng(11)
+        M = random_complex(rng, *shape)
+        specials = [-0.0, 0.0, 1e300, -1e-300, 5e-324, 1.0 / 3.0, 2.0**53 + 1]
+        flat = M.reshape(-1)
+        for i in range(min(len(specials), flat.size)):
+            flat[i] = complex(specials[i], specials[-1 - i])
+        want = {"rows": shape[0], "cols": shape[1],
+                "data": [[float(z.real), float(z.imag)] for z in M.ravel()]}
+        assert json.dumps(matrix_to_json(M), indent=2) == json.dumps(want, indent=2)
+        v = M.reshape(-1)
+        want_v = {"dim": v.size, "data": [[float(z.real), float(z.imag)] for z in v]}
+        assert json.dumps(vector_to_json(v), indent=2) == json.dumps(want_v, indent=2)
 
     def test_missing_key_names_path(self):
         with pytest.raises(SchemaError, match="M.rows"):
