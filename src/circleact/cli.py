@@ -9,7 +9,9 @@ wherever an object or pair document is expected.  Exit codes: 0 all
 checks passed, 1 a check failed or a counterexample was found, 2
 input/output or schema trouble (with a diagnostic naming the offending
 JSON path, never a stack trace).  A numerical routine that fails to
-converge is a measured failure and exits 1.
+converge is a measured failure and exits 1.  The dimension that snake
+and sample build from (--n, or snake's input "n") is capped at MAX_N;
+a larger one exits 2 before anything is allocated.
 
 Identical invocations produce byte identical output except for the
 "timestamp" field, which --reproducible suppresses.
@@ -50,6 +52,10 @@ from .certify import (
 )
 from .category import DecompositionFailure, check_snake, decompose, tensor_product
 from .solver import SolverConfig, sample_classical, solve
+
+# Largest dimension snake and sample will build: at this cap sample
+# writes six n x n arrays as ~29 MB of JSON in a few seconds.
+MAX_N = 256
 
 
 def _read_payload(path):
@@ -245,8 +251,8 @@ def _cmd_snake(args) -> tuple[dict, bool]:
         if not isinstance(payload_in, dict) or "n" not in payload_in:
             raise SchemaError("input: expected an object with an 'n' field")
         n = payload_in["n"]
-        if not isinstance(n, int) or n < 1:
-            raise SchemaError("input.n: expected a positive integer")
+        if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_N:
+            raise SchemaError(f"input.n: expected an integer from 1 to {MAX_N}")
         s = (
             vector_from_json(payload_in["s"], path="input.s")
             if "s" in payload_in
@@ -268,8 +274,8 @@ def _check_arguments(args) -> None:
             name = "--" + flag.replace("_", "-")
             raise SchemaError(f"{name}: expected a finite positive number, got {value!r}")
     # solve checks its --n through SolverConfig.
-    if args.func in (_cmd_sample, _cmd_snake) and args.n is not None and args.n < 1:
-        raise SchemaError(f"--n: expected a positive integer, got {args.n}")
+    if args.func in (_cmd_sample, _cmd_snake) and args.n is not None and not 1 <= args.n <= MAX_N:
+        raise SchemaError(f"--n: expected an integer from 1 to {MAX_N}, got {args.n}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -337,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="emit a known-good classical pair")
     add_io(p, with_input=False)
-    p.add_argument("--n", type=int, required=True, help="fiber dimension")
+    p.add_argument("--n", type=int, required=True, help=f"fiber dimension, at most {MAX_N}")
     add_seed(p)
     p.set_defaults(func=_cmd_sample)
 
@@ -351,7 +357,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("snake", help="certify the pairing conditions for s, t vectors")
     add_io(p)
     add_tol(p)
-    p.add_argument("--n", type=int, help="dimension for standard vectors when no input is given")
+    p.add_argument(
+        "--n",
+        type=int,
+        help=f"dimension for standard vectors when no input is given, at most {MAX_N}",
+    )
     p.set_defaults(func=_cmd_snake)
 
     return parser

@@ -2,13 +2,14 @@
 
 The twenty constraint matrices (six homomorphism equations for each of
 the two candidates, eight duality equations coupling them) are stacked
-into a single penalty: the sum of squared Frobenius norms.  Plain
-gradient descent with Armijo backtracking drives the penalty to zero
-from seeded random starts; the analytic gradient follows the product
-rule through each constraint term (plain, adjoint, transpose, or
-conjugate occurrence of a variable pulls the factor out in a different
-orientation) and is validated against finite differences by
-``gradient_check``.
+into a single penalty: the sum of squared Frobenius norms.  L-BFGS
+(Liu & Nocedal 1989) with a short memory and Armijo backtracking drives
+the penalty to zero from seeded random starts; each step costs about
+one evaluation of the penalty and its gradient, and no Jacobian is
+formed.  The analytic gradient follows the product rule through each
+constraint term (plain, adjoint, transpose, or conjugate occurrence of
+a variable pulls the factor out in a different orientation) and is
+validated against finite differences by ``gradient_check``.
 
 The point of the experiment: every converged pair turns out to be
 commutative and splits into rotation and reflection characters.  The
@@ -19,7 +20,8 @@ commutativity residuals so a counterexample would surface immediately.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -27,7 +29,11 @@ from .linalg import adjoint
 from .coaction import ConjugatePair, LinearObject, check_conjugate_matrix
 from .certify import certify_commutativity
 
-ALGORITHM = "gradient descent with Armijo backtracking"
+# L-BFGS memory: (s, y) pairs kept.  At n <= 4 a two-loop over 8 pairs
+# costs more than the kernel evaluation it saves.
+_MEMORY = 4
+
+ALGORITHM = f"L-BFGS (memory {_MEMORY}) with Armijo backtracking"
 RNG_FAMILY = "numpy PCG64"
 
 # Variable indices into the packed point (A, B, C, D).
@@ -173,12 +179,9 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-        if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        for name in ("n", "restarts", "max_iters"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         for name in ("residual_tol", "grad_tol", "step_init"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -198,20 +201,14 @@ class SolverOutcome:
     converged: bool
     residual: float
     iterations: int
+    stop_reason: str  # converged, grad_tol, line_search or max_iters
     commutativity: float
     duality: float
     pair: ConjugatePair
 
     def to_json(self) -> dict:
-        return {
-            "start_index": self.start_index,
-            "converged": self.converged,
-            "residual": self.residual,
-            "iterations": self.iterations,
-            "commutativity": self.commutativity,
-            "duality": self.duality,
-            "pair": self.pair.to_json(),
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        return out | {"pair": self.pair.to_json()}
 
 
 @dataclass(frozen=True)
@@ -229,6 +226,7 @@ class SolverRun:
             "restarts": len(self.outcomes),
             "converged": len(converged),
             "stalled": len(self.outcomes) - len(converged),
+            "stop_reasons": dict(Counter(o.stop_reason for o in self.outcomes)),
             "best_residual": min((o.residual for o in self.outcomes), default=None),
         }
         if converged:
@@ -247,31 +245,52 @@ class SolverRun:
 
 
 def _minimize(x0, n, max_iters, stop_f, grad_tol, step_init):
-    """Gradient descent with Armijo backtracking from the packed point x0,
-    on the complex stack, where the real gradient (2 Re G, 2 Im G) is 2G."""
-    X = _unpack(x0, n)
-    f, G = _residual_and_gradient(X)
-    alpha = step_init
-    iters = 0
-    for _ in range(max_iters):
-        if f <= stop_f:
+    """L-BFGS with Armijo backtracking from the packed point x0.
+
+    Iterates on the complex stack viewed as a flat float64 vector, where a
+    plain dot product is Re vdot and the real gradient is 2G.  Returns the
+    packed point, its penalty, the accepted steps and the stop reason.
+    """
+    x = _unpack(x0, n).reshape(-1).view(np.float64)
+    f, G = _residual_and_gradient(x.view(complex).reshape(4, n, n))
+    g = 2.0 * G.reshape(-1).view(np.float64)
+    S, Y = np.zeros((2, _MEMORY, x.size))
+    rho, a = np.zeros((2, _MEMORY))
+    slots = []  # ring slots holding (s, y) pairs, oldest first
+    gamma = step_init  # the initial inverse Hessian is gamma * I
+    for iters in range(max_iters + 1):
+        reason = ("converged" if f <= stop_f else "grad_tol" if math.sqrt(g @ g) <= grad_tol
+                  else "max_iters" if iters == max_iters else None)
+        if reason:
             break
-        g = 2.0 * G
-        gnorm2 = float(np.vdot(g, g).real)
-        if np.sqrt(gnorm2) <= grad_tol:
-            break
+        q = g.copy()  # two-loop recursion: q becomes H g
+        for i in reversed(slots):
+            a[i] = rho[i] * (S[i] @ q)
+            q -= a[i] * Y[i]
+        q *= gamma
+        for i in slots:
+            q += (a[i] - rho[i] * (Y[i] @ q)) * S[i]
+        slope = g @ q
+        alpha = 1.0
         while alpha >= 1e-18:
-            Xn = X - alpha * g
-            if residual(*Xn) <= f - 1e-4 * alpha * gnorm2:
+            xn = x - alpha * q
+            fn, Gn = _residual_and_gradient(xn.view(complex).reshape(4, n, n))
+            if fn <= f - 1e-4 * alpha * slope:
                 break
             alpha /= 2.0
         else:
+            reason = "line_search"
             break
-        X = Xn
-        f, G = _residual_and_gradient(X)
-        alpha = min(alpha * 2.0, step_init)
-        iters += 1
-    return _pack(X), f, iters
+        gn = 2.0 * Gn.reshape(-1).view(np.float64)
+        s, y = xn - x, gn - g
+        sy = s @ y
+        if sy > 0:  # curvature condition; otherwise the pair is skipped
+            i = slots.pop(0) if len(slots) == _MEMORY else len(slots)
+            S[i], Y[i], rho[i] = s, y, 1.0 / sy
+            slots.append(i)
+            gamma = sy / (y @ y)
+        x, f, g = xn, fn, gn
+    return _pack(x.view(complex).reshape(4, n, n)), f, iters, reason
 
 
 def solve(config: SolverConfig) -> SolverRun:
@@ -290,13 +309,8 @@ def solve(config: SolverConfig) -> SolverRun:
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, idx)))
         # The packed start: real then imaginary parts of A, B, C, D in turn.
         x0 = (1.0 / np.sqrt(2.0 * n)) * rng.standard_normal(8 * n * n)
-        x, f, iters = _minimize(
-            x0,
-            n,
-            config.max_iters,
-            config.residual_tol ** 2,
-            config.grad_tol,
-            config.step_init,
+        x, f, iters, stop_reason = _minimize(
+            x0, n, config.max_iters, config.residual_tol ** 2, config.grad_tol, config.step_init
         )
         A, B, C, D = _unpack(x, n)
         pair = ConjugatePair(LinearObject(n, A, B), C, D)
@@ -308,6 +322,7 @@ def solve(config: SolverConfig) -> SolverRun:
                 converged=f <= config.residual_tol,
                 residual=f,
                 iterations=iters,
+                stop_reason=stop_reason,
                 commutativity=commutativity,
                 duality=duality,
                 pair=pair,

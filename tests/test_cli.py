@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from circleact.cli import main
+from circleact.cli import MAX_N, main
 from circleact.coaction import LinearObject
 from circleact.linalg import NoConvergence
 from circleact.solver import sample_classical
@@ -125,6 +125,22 @@ class TestExitCodes:
         assert out == ""
         assert "--n" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, stdin, field",
+        [
+            (["snake", "--n", str(MAX_N + 1)], "", "--n"),
+            (["sample", "--n", str(MAX_N + 1)], "", "--n"),
+            (["snake"], json.dumps({"n": MAX_N + 1}), "input.n"),
+            (["snake"], json.dumps({"n": True}), "input.n"),
+        ],
+    )
+    def test_n_outside_range_exits_two_naming_field(self, capsys, monkeypatch, argv, stdin, field):
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert field in err and str(MAX_N) in err
 
     def test_deeply_nested_json_exits_two(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("[" * 200000))

@@ -87,8 +87,8 @@ class TestMinimize:
     def test_solution_is_fixed_point(self):
         pair = sample_classical(2, seed=4)
         x0 = _pack([pair.object.A, pair.object.B, pair.C, pair.D])
-        x, f, iters = _minimize(x0, 2, 100, 1e-20, 1e-12, 1.0)
-        assert iters == 0
+        x, f, iters, reason = _minimize(x0, 2, 100, 1e-20, 1e-12, 1.0)
+        assert (iters, reason) == (0, "converged")
         assert f <= 1e-24
         assert np.array_equal(x, x0)
 
@@ -98,37 +98,41 @@ class TestMinimize:
         x0 = _pack([pair.object.A, pair.object.B, pair.C, pair.D])
         x0 = x0 + 1e-2 * rng.standard_normal(x0.size)
         f0 = residual(*_unpack(x0, 1))
-        _, f, _ = _minimize(x0, 1, 2000, 1e-20, 1e-12, 1.0)
+        _, f, _, _ = _minimize(x0, 1, 2000, 1e-20, 1e-12, 1.0)
         assert f < f0 * 1e-10
 
-    def test_step_regrows_up_to_step_init(self, monkeypatch):
-        # Near the origin the penalty is flat enough to accept steps above
-        # 1; after an accepted step the next trial doubles it, capped at
-        # step_init rather than at 1.
-        evaluate, penalty = solver._residual_and_gradient, solver.residual
-        calls = []
+    def test_first_trial_is_steepest_descent_at_step_init(self, monkeypatch):
+        # Before any curvature pair is stored the L-BFGS direction is the
+        # plain gradient, scaled by step_init, so the first trial point is
+        # x - step_init * g with the real gradient g = 2G.
+        evaluate = solver._residual_and_gradient
+        points = []
 
         def recorded_evaluate(mats):
-            f, G = evaluate(mats)
-            calls.append((np.array(mats), G))
-            return f, G
-
-        def recorded_penalty(*mats):
-            calls.append((np.array(mats), None))
-            return penalty(*mats)
+            points.append(np.array(mats))
+            return evaluate(mats)
 
         monkeypatch.setattr(solver, "_residual_and_gradient", recorded_evaluate)
-        monkeypatch.setattr(solver, "residual", recorded_penalty)
-        x0 = 1e-2 * np.random.default_rng(0).standard_normal(8)
-        _minimize(x0, 1, 5, 1e-20, 1e-12, 8.0)
-        trials, iteration = [], 0
-        for X, G in calls:
-            if G is None:
-                trials.append((iteration, np.linalg.norm(X - base) / np.linalg.norm(2.0 * G0)))
-            else:
-                base, G0, iteration = X, G, iteration + 1
-        assert trials[0] == (1, pytest.approx(8.0))
-        assert max(step for it, step in trials if it > 1) > 1.0
+        x0 = 1e-2 * np.random.default_rng(0).standard_normal(32)
+        _minimize(x0, 2, 1, 1e-20, 1e-12, 0.25)
+        _, G0 = evaluate(points[0])
+        np.testing.assert_allclose(points[1], points[0] - 0.25 * 2.0 * G0, rtol=1e-15, atol=0)
+
+    def test_stop_reason_line_search(self, monkeypatch):
+        # A penalty that rises at every trial point halves the step below
+        # 1e-18 without accepting it.
+        evaluate = solver._residual_and_gradient
+        calls = []
+
+        def rising(mats):
+            calls.append(None)
+            return float(len(calls)), evaluate(mats)[1]
+
+        monkeypatch.setattr(solver, "_residual_and_gradient", rising)
+        x0 = np.random.default_rng(1).standard_normal(8)
+        _, f, iters, reason = _minimize(x0, 1, 100, 1e-20, 1e-12, 1.0)
+        assert (f, iters, reason) == (1.0, 0, "line_search")
+        assert len(calls) == 1 + 60  # the start, then trials at 2**-k for k < 60
 
 
 class TestSolve:
@@ -179,7 +183,27 @@ class TestSolve:
         summary = run.summary()
         assert summary["stalled"] == 3
         assert summary["converged"] == 0
+        assert summary["stop_reasons"] == {"max_iters": 3}
+        assert all(o.stop_reason == "max_iters" for o in run.outcomes)
         assert "worst_commutativity" not in summary
+
+    def test_huge_grad_tol_stops_at_the_start(self):
+        run = solve(SolverConfig(n=1, restarts=2, grad_tol=1e6, seed=0))
+        assert [(o.iterations, o.stop_reason, o.converged) for o in run.outcomes] == [
+            (0, "grad_tol", False)
+        ] * 2
+        assert run.summary()["stop_reasons"] == {"grad_tol": 2}
+
+    def test_no_restart_tail(self):
+        # Gradient descent took 2339 iterations from this start.
+        (outcome,) = solve(SolverConfig(n=2, restarts=1, seed=2)).outcomes
+        assert outcome.converged and outcome.stop_reason == "converged"
+        assert outcome.iterations <= 100
+
+    def test_restart_outcomes_do_not_depend_on_restart_count(self):
+        few = solve(SolverConfig(n=2, restarts=3, seed=5)).to_json()["outcomes"]
+        many = solve(SolverConfig(n=2, restarts=6, seed=5)).to_json()["outcomes"]
+        assert json.dumps(few, sort_keys=True) == json.dumps(many[:3], sort_keys=True)
 
     def test_outcomes_ordered_by_start_index(self):
         run = solve(SolverConfig(n=1, restarts=5, seed=3))
@@ -188,9 +212,11 @@ class TestSolve:
     def test_run_json_shape(self):
         run = solve(SolverConfig(n=1, restarts=2, seed=4))
         payload = run.to_json()
-        assert payload["algorithm"] == "gradient descent with Armijo backtracking"
+        assert payload["algorithm"] == "L-BFGS (memory 4) with Armijo backtracking"
         assert payload["rng"] == "numpy PCG64"
         assert payload["summary"]["restarts"] == 2
+        assert payload["summary"]["stop_reasons"] == {"converged": 2}
+        assert all(o["stop_reason"] == "converged" for o in payload["outcomes"])
         assert len(payload["outcomes"]) == 2
         json.dumps(payload)  # must be serializable as-is
 
