@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .linalg import (
     DimensionMismatch,
@@ -46,11 +45,11 @@ class DecompositionFailure(RuntimeError):
 
 def direct_sum(X: LinearObject, Y: LinearObject) -> LinearObject:
     """Block diagonal sum of two candidates."""
-    return LinearObject(
-        X.n + Y.n,
-        scipy.linalg.block_diag(X.A, Y.A),
-        scipy.linalg.block_diag(X.B, Y.B),
-    )
+
+    def block_diag(P, Q):
+        return np.block([[P, np.zeros((X.n, Y.n))], [np.zeros((Y.n, X.n)), Q]])
+
+    return LinearObject(X.n + Y.n, block_diag(X.A, Y.A), block_diag(X.B, Y.B))
 
 
 def tensor_product(X: LinearObject, Y: LinearObject) -> LinearObject:

@@ -10,8 +10,11 @@ checks passed, 1 a check failed or a counterexample was found, 2
 input/output or schema trouble (with a diagnostic naming the offending
 JSON path, never a stack trace).  A numerical routine that fails to
 converge is a measured failure and exits 1.  The dimension that snake
-and sample build from (--n, or snake's input "n") is capped at MAX_N;
-a larger one exits 2 before anything is allocated.
+and sample build from (--n, or snake's input "n") is capped at MAX_N,
+and solve's --n at solver.SOLVE_MAX_N; a larger one exits 2 before
+anything is allocated.  Running out of memory on any other input exits
+2 as well: nothing was measured, and the input asked for more than the
+machine has.
 
 Identical invocations produce byte identical output except for the
 "timestamp" field, which --reproducible suppresses.
@@ -20,6 +23,7 @@ Identical invocations produce byte identical output except for the
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -51,7 +55,7 @@ from .certify import (
     polar_data,
 )
 from .category import DecompositionFailure, check_snake, decompose, tensor_product
-from .solver import SolverConfig, sample_classical, solve
+from .solver import SOLVE_MAX_N, SolverConfig, sample_classical, solve
 
 # Largest dimension snake and sample will build: at this cap sample
 # writes six n x n arrays as ~29 MB of JSON in a few seconds.
@@ -273,12 +277,16 @@ def _check_arguments(args) -> None:
         if value is not None and not (math.isfinite(value) and value > 0):
             name = "--" + flag.replace("_", "-")
             raise SchemaError(f"{name}: expected a finite positive number, got {value!r}")
-    # solve checks its --n through SolverConfig.
+    # solve checks its lower bound through SolverConfig.
     if args.func in (_cmd_sample, _cmd_snake) and args.n is not None and not 1 <= args.n <= MAX_N:
         raise SchemaError(f"--n: expected an integer from 1 to {MAX_N}, got {args.n}")
+    if args.func is _cmd_solve and args.n > SOLVE_MAX_N:
+        raise SchemaError(f"--n: expected an integer from 1 to {SOLVE_MAX_N}, got {args.n}")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="circleact",
         description="Certify, classify, and search finite dimensional circle coactions.",
@@ -380,6 +388,9 @@ def main(argv=None) -> int:
     except NoConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory: the input is too large for this machine", file=sys.stderr)
+        return 2
     except (ValueError, KeyError, TypeError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

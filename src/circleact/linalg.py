@@ -8,15 +8,18 @@ extraction, and the JSON codecs that the rest of the package relies on.
 The heavy lifting is LAPACK's: ``eigh`` for Hermitian eigenproblems and
 pivoted Householder QR for nullspaces.  The wrappers add what LAPACK
 does not check (shapes, finiteness, Hermitian input) and turn its
-failures into this module's exceptions.  Nothing downstream trusts a
-factorization blindly: every certificate is a residual recomputed with
-plain matrix products.
+failures into this module's exceptions.  scipy, for the pivoted QR, is
+imported on the first nullspace call, so importing the package does not
+load it.  Nothing downstream trusts a factorization blindly: every
+certificate is a residual recomputed with plain matrix products.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
+from itertools import chain
+
 import numpy as np
-import scipy.linalg
 
 
 class DimensionMismatch(ValueError):
@@ -46,7 +49,7 @@ def as_matrix(data, *, path: str = "matrix") -> np.ndarray:
     arr = np.asarray(data, dtype=complex)
     if arr.ndim != 2:
         raise DimensionMismatch(f"{path}: expected a 2-D array, got ndim={arr.ndim}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{path}: non-finite entries are not admitted")
     return arr
 
@@ -56,7 +59,7 @@ def as_vector(data, *, path: str = "vector") -> np.ndarray:
     arr = np.asarray(data, dtype=complex)
     if arr.ndim != 1:
         raise DimensionMismatch(f"{path}: expected a 1-D array, got ndim={arr.ndim}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{path}: non-finite entries are not admitted")
     return arr
 
@@ -128,6 +131,8 @@ def nullspace_basis(M, tol: float = 1e-9) -> list[np.ndarray]:
     the number of diagonal entries of R exceeding tol * frobenius(M).
     Returns a list of 1-D vectors (possibly empty).
     """
+    import scipy.linalg
+
     M = as_matrix(M, path="nullspace input")
     rows, cols = M.shape
     Q, R, _ = scipy.linalg.qr(adjoint(M), pivoting=True)
@@ -167,17 +172,14 @@ def matrix_from_json(obj, *, path: str = "matrix") -> np.ndarray:
         if key not in obj:
             raise SchemaError(f"{path}.{key}: missing")
     rows, cols = obj["rows"], obj["cols"]
-    if not isinstance(rows, int) or rows < 0:
+    if not _is_count(rows):
         raise SchemaError(f"{path}.rows: expected a non-negative integer")
-    if not isinstance(cols, int) or cols < 0:
+    if not _is_count(cols):
         raise SchemaError(f"{path}.cols: expected a non-negative integer")
     data = obj["data"]
     if not isinstance(data, list) or len(data) != rows * cols:
         raise SchemaError(f"{path}.data: expected a list of {rows * cols} entries")
-    flat = np.empty(rows * cols, dtype=complex)
-    for i, entry in enumerate(data):
-        flat[i] = _parse_complex(entry, path=f"{path}.data[{i}]")
-    return flat.reshape(rows, cols)
+    return _parse_entries(data, path=f"{path}.data").reshape(rows, cols)
 
 
 def vector_to_json(v: np.ndarray) -> dict:
@@ -194,14 +196,39 @@ def vector_from_json(obj, *, path: str = "vector") -> np.ndarray:
         if key not in obj:
             raise SchemaError(f"{path}.{key}: missing")
     dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 0:
+    if not _is_count(dim):
         raise SchemaError(f"{path}.dim: expected a non-negative integer")
     data = obj["data"]
     if not isinstance(data, list) or len(data) != dim:
         raise SchemaError(f"{path}.data: expected a list of {dim} entries")
-    out = np.empty(dim, dtype=complex)
+    return _parse_entries(data, path=f"{path}.data")
+
+
+def _is_count(x) -> bool:
+    """A non-negative int; a bool, though an int to Python, is not one."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
+def _parse_entries(data: list, *, path: str) -> np.ndarray:
+    """Decode a list of [re, im] pairs to a 1-D complex128 array.
+
+    When three C-level scans find every entry a ``list`` of two items of
+    type exactly ``int`` or ``float``, one ``np.array`` call converts
+    them all, reinterpreted bit for bit as complex.  Anything else, or a
+    non-finite result, goes through the loop that names the faulty path.
+    """
+    if (
+        set(map(type, data)) == {list}
+        and set(map(len, data)) == {2}
+        and set(map(type, chain.from_iterable(data))) <= {int, float}
+    ):
+        with suppress(OverflowError):  # an int beyond float range
+            pairs = np.array(data, dtype=float)
+            if np.isfinite(pairs).all():
+                return pairs.view(complex).reshape(-1)
+    out = np.empty(len(data), dtype=complex)
     for i, entry in enumerate(data):
-        out[i] = _parse_complex(entry, path=f"{path}.data[{i}]")
+        out[i] = _parse_complex(entry, path=f"{path}[{i}]")
     return out
 
 
@@ -212,7 +239,11 @@ def _parse_complex(entry, *, path: str) -> complex:
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
     ):
         raise SchemaError(f"{path}: expected a [re, im] pair of numbers")
-    z = complex(float(entry[0]), float(entry[1]))
+    try:
+        z = complex(float(entry[0]), float(entry[1]))
+    except OverflowError:
+        # An integer too large for a float.
+        raise SchemaError(f"{path}: non-finite entries are not admitted") from None
     if not (np.isfinite(z.real) and np.isfinite(z.imag)):
         raise SchemaError(f"{path}: non-finite entries are not admitted")
     return z

@@ -33,6 +33,11 @@ from .certify import certify_commutativity
 # costs more than the kernel evaluation it saves.
 _MEMORY = 4
 
+# Largest fiber dimension SolverConfig admits.  A restart's working set
+# grows as n^2 (~22 MB at n = 64) and an iteration as n^3 (~25 ms at
+# n = 64 on a 2-vCPU VM), so a larger n is a typo, not a search.
+SOLVE_MAX_N = 64
+
 ALGORITHM = f"L-BFGS (memory {_MEMORY}) with Armijo backtracking"
 RNG_FAMILY = "numpy PCG64"
 
@@ -182,6 +187,8 @@ class SolverConfig:
         for name in ("n", "restarts", "max_iters"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        if self.n > SOLVE_MAX_N:
+            raise ValueError(f"n must be at most {SOLVE_MAX_N}")
         for name in ("residual_tol", "grad_tol", "step_init"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):

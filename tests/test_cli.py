@@ -12,7 +12,7 @@ import pytest
 from circleact.cli import MAX_N, main
 from circleact.coaction import LinearObject
 from circleact.linalg import NoConvergence
-from circleact.solver import sample_classical
+from circleact.solver import SOLVE_MAX_N, SolverConfig, sample_classical
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -356,3 +356,93 @@ class TestSubcommands:
         assert exc.value.code == 0
         out, _ = capsys.readouterr()
         assert "circleact" in out
+
+
+def pair_doc(n=2):
+    return sample_classical(n, seed=0).to_json()
+
+
+class TestInputContract:
+    @pytest.mark.parametrize(
+        "mutate, field",
+        [
+            (lambda d: d.update(n=True), "input.n"),
+            (lambda d: d["A"].update(rows=True), "input.A.rows"),
+            (lambda d: d["B"].update(cols=True), "input.B.cols"),
+            (lambda d: d.update(s={"dim": True, "data": [[1.0, 0.0]]}), "input.s.dim"),
+        ],
+    )
+    def test_bool_in_integer_field_exits_two_naming_it(self, capsys, tmp_path, mutate, field):
+        doc = pair_doc(1)
+        mutate(doc)
+        path = write_json(tmp_path / "pair.json", doc)
+        code, out, err = run_cli(capsys, ["certify", "--input", path])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {field}: expected a ")
+
+    @pytest.mark.parametrize("literal", ["1" + "0" * 400, "-1" + "0" * 400, "1e309", "-1e309"])
+    def test_number_beyond_float_range_exits_two(self, capsys, tmp_path, literal):
+        doc = pair_doc()
+        doc["A"]["data"][0] = ["HERE", 0]
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(doc).replace('"HERE"', literal), encoding="utf-8")
+        code, out, err = run_cli(capsys, ["certify", "--input", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err == "error: input.A.data[0]: non-finite entries are not admitted\n"
+
+    def test_solve_n_above_cap_exits_two_before_solving(self, capsys, monkeypatch):
+        def refuse(_config):
+            raise AssertionError("solve must not run")
+
+        monkeypatch.setattr("circleact.cli.solve", refuse)
+        code, out, err = run_cli(capsys, ["solve", "--n", str(SOLVE_MAX_N + 1)])
+        assert code == 2
+        assert out == ""
+        assert "--n" in err and str(SOLVE_MAX_N) in err
+
+    def test_solver_config_rejects_n_above_cap(self):
+        SolverConfig(n=SOLVE_MAX_N, restarts=1)
+        with pytest.raises(ValueError, match=f"at most {SOLVE_MAX_N}"):
+            SolverConfig(n=SOLVE_MAX_N + 1, restarts=1)
+
+    def test_memory_error_exits_two_without_traceback(self, capsys, monkeypatch, tmp_path):
+        def exhaust(*_args, **_kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("circleact.cli.check_conjugate_raw", exhaust)
+        path = write_json(tmp_path / "pair.json", pair_doc())
+        code, out, err = run_cli(capsys, ["certify", "--input", path])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: out of memory")
+
+
+def fresh_run(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "circleact.cli", *argv], capture_output=True, text=True
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestProcessState:
+    def test_import_leaves_scipy_unloaded(self):
+        code = "import sys, circleact.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_reused_parser_matches_fresh_runs(self, capsys):
+        calls = [
+            ["snake", "--n", "2", "--reproducible"],
+            ["solve", "--restarts", "x"],
+            ["check", "--input", str(GOLDEN / "identity_object.json"), "--reproducible"],
+        ]
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            assert (code, out, err) == fresh_run(argv)

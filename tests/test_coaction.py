@@ -15,6 +15,7 @@ from circleact.coaction import (
     check_conjugate_raw,
     check_homomorphism,
     compose_image,
+    composite_on_vector,
     generator_image,
     kac_vector,
     reflection,
@@ -287,3 +288,92 @@ class TestComposeImage:
         expected_minus = np.kron(dual.B, obj.A) + np.kron(adjoint(dual.A), obj.B)
         assert np.allclose(comp.coeff(1), expected_plus)
         assert np.allclose(comp.coeff(-1), expected_minus)
+
+
+def unitary(rng, n):
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return Q
+
+
+def raw_case(n, kind, seed=0):
+    """Pairs that exercise every shape of the raw route's expansion."""
+    rng = np.random.default_rng(seed)
+    zero = np.zeros((n, n))
+    if kind == "rotation":  # B = 0: one term per degree
+        U = unitary(rng, n)
+        return ConjugatePair(LinearObject(n, U, zero), U.conj(), zero)
+    if kind == "reflection":  # A = 0
+        U = unitary(rng, n)
+        return ConjugatePair(LinearObject(n, zero, U), zero, U.T)
+    if kind == "mixed":
+        return perturbed(sample_classical(n, seed=seed), rng)
+    if kind == "nonstandard":
+        pair = sample_classical(n, seed=seed)
+        t = rng.standard_normal(n * n) + 1j * rng.standard_normal(n * n)
+        return ConjugatePair(pair.object, pair.C, pair.D, s=2.5 * pair.s, t=t)
+    # kron(C, A) + kron(D*, B) is exactly zero: that degree is dropped.
+    eye = np.eye(n)
+    return ConjugatePair(LinearObject(n, eye, -eye), eye, eye)
+
+
+RAW_KINDS = ["rotation", "reflection", "mixed", "nonstandard", "cancelling"]
+
+
+def kron_route(pair, tol=1e-9):
+    """The raw route with every composite formed as an n^2 x n^2 matrix."""
+    checks = []
+    obj, dual = pair.object, pair.dual_object
+    for label, outer, inner, v in (("s", dual, obj, pair.s), ("t", obj, dual, pair.t)):
+        gen = generator_image(inner)
+        for gen_label, poly, fix_deg in (
+            (f"gen,{label}", compose_image(outer, gen), +1),
+            (f"gen*,{label}", compose_image(outer, gen.adjoint()), -1),
+        ):
+            for d in sorted(set(poly.degrees()) | {+1, -1}):
+                w = poly.coeff(d) @ v - (v if d == fix_deg else 0.0)
+                checks.append(CheckResult(f"raw[{gen_label},deg{d:+d}]", np.linalg.norm(w), tol))
+    return CertificateReport(tol, tuple(checks))
+
+
+class TestRawRouteAgainstKron:
+    @pytest.mark.parametrize("kind", RAW_KINDS)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_per_degree_vectors_match_compose_image(self, n, kind):
+        pair = raw_case(n, kind, seed=n)
+        obj, dual = pair.object, pair.dual_object
+        for outer, inner, v in ((dual, obj, pair.s), (obj, dual, pair.t)):
+            gen = generator_image(inner)
+            inners = (gen, gen.adjoint())
+            for poly, vecs in zip(inners, composite_on_vector(outer, inners, v)):
+                oracle = compose_image(outer, poly)
+                assert sorted(vecs) == oracle.degrees()
+                for d in oracle.degrees():
+                    K = oracle.coeff(d)
+                    err = np.linalg.norm(vecs[d] - K @ v)
+                    assert err <= 1e-12 * frobenius(K) * np.linalg.norm(v)
+
+    @pytest.mark.parametrize("kind", RAW_KINDS)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_checks_match_kron_route(self, n, kind):
+        pair = raw_case(n, kind, seed=n)
+        got, want = check_conjugate_raw(pair), kron_route(pair)
+        assert [c.name for c in got.checks] == [c.name for c in want.checks]
+        assert [c.passed for c in got.checks] == [c.passed for c in want.checks]
+        for a, b in zip(got.checks, want.checks):
+            assert abs(a.residual - b.residual) <= 1e-12 + 1e-9 * max(a.residual, b.residual)
+
+    def test_cancelling_degree_is_dropped_exactly(self):
+        pair = raw_case(3, "cancelling")
+        gen = generator_image(pair.object)
+        on_gen, _ = composite_on_vector(pair.dual_object, (gen, gen.adjoint()), pair.s)
+        # Both degrees of the dual composite on the generator cancel.
+        assert sorted(on_gen) == compose_image(pair.dual_object, gen).degrees() == []
+        report = check_conjugate_raw(pair)
+        assert report.residual("raw[gen,s,deg+1]") == np.linalg.norm(pair.s)
+        assert report.residual("raw[gen,s,deg-1]") == 0.0
+
+    def test_valid_pairs_pass_on_both_routes(self):
+        for kind in ("rotation", "reflection"):
+            pair = raw_case(5, kind)
+            assert check_conjugate_raw(pair).overall_pass
+            assert kron_route(pair).overall_pass

@@ -4,7 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from circleact import linalg
 from circleact.linalg import (
     DimensionMismatch,
     NoConvergence,
@@ -249,3 +252,79 @@ class TestJsonCodecs:
     def test_non_dict_rejected(self):
         with pytest.raises(SchemaError):
             matrix_from_json([1, 2, 3])
+
+
+def loop_decode(data, path):
+    """The per-entry decoder that the fast path must reproduce."""
+    out = np.empty(len(data), dtype=complex)
+    for i, entry in enumerate(data):
+        out[i] = linalg._parse_complex(entry, path=f"{path}[{i}]")
+    return out
+
+
+def outcome(fn, *args):
+    """The bytes of what fn returns, or the message of its SchemaError."""
+    try:
+        return fn(*args).tobytes()
+    except SchemaError as exc:
+        return str(exc)
+
+
+HUGE = 10**400
+NUMBERS = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1e308, -1e308, 5e-324, 2**53 + 1]),
+)
+ODD = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.sampled_from(["1.0", "0", "nan", HUGE, -HUGE, 2**1024, float("inf"), float("nan")]),
+    st.lists(NUMBERS, max_size=2),
+)
+PAIRS = st.lists(NUMBERS, min_size=2, max_size=2)
+# json.loads reads 1e309 and -1e309 as infinities.
+NON_FINITE = st.sampled_from([float("inf"), float("-inf"), float("nan")])
+ENTRIES = st.one_of(
+    PAIRS,
+    PAIRS,
+    PAIRS,
+    st.lists(st.one_of(NUMBERS, NON_FINITE), min_size=2, max_size=2),
+    st.tuples(NUMBERS, NUMBERS),
+    st.lists(st.one_of(NUMBERS, ODD), min_size=0, max_size=3),
+    ODD,
+)
+
+
+class TestDecodeFastPath:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(ENTRIES, max_size=6))
+    def test_matches_per_entry_loop(self, data):
+        want = outcome(loop_decode, data, "v.data")
+        vector = lambda: vector_from_json({"dim": len(data), "data": data}, path="v")
+        assert outcome(vector) == want
+        matrix = lambda: matrix_from_json({"rows": 1, "cols": len(data), "data": data}, path="v")
+        assert outcome(matrix) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(PAIRS, min_size=1, max_size=8))
+    def test_all_numeric_pairs_decode_bit_for_bit(self, data):
+        got = vector_from_json({"dim": len(data), "data": data})
+        want = np.array([complex(float(re), float(im)) for re, im in data])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("value", [HUGE, -HUGE, 2**1024])
+    def test_int_beyond_float_range_is_not_finite(self, value):
+        bad = {"rows": 1, "cols": 2, "data": [[0, 0], [value, 0]]}
+        with pytest.raises(SchemaError, match=r"^A\.data\[1\]: non-finite entries are not admitted$"):
+            matrix_from_json(bad, path="A")
+
+    @pytest.mark.parametrize("field", ["rows", "cols"])
+    def test_bool_matrix_size_names_field(self, field):
+        doc = {"rows": 1, "cols": 1, "data": [[1.0, 0.0]]} | {field: True}
+        with pytest.raises(SchemaError, match=rf"^A\.{field}: "):
+            matrix_from_json(doc, path="A")
+
+    def test_bool_vector_dim_names_field(self):
+        with pytest.raises(SchemaError, match=r"^s\.dim: "):
+            vector_from_json({"dim": True, "data": [[1.0, 0.0]]}, path="s")
