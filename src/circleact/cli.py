@@ -17,7 +17,8 @@ anything is allocated.  Running out of memory on any other input exits
 machine has.
 
 Identical invocations produce byte identical output except for the
-"timestamp" field, which --reproducible suppresses.
+"timestamp" field, which --reproducible suppresses.  The text written is
+exactly ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ import json
 import math
 import sys
 from datetime import datetime, timezone
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -103,7 +106,7 @@ def _write_payload(payload: dict, path, reproducible: bool) -> None:
     if not reproducible:
         payload = dict(payload)
         payload["timestamp"] = datetime.now(timezone.utc).isoformat()
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = _encode(payload) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
@@ -112,6 +115,61 @@ def _write_payload(payload: dict, path, reproducible: bool) -> None:
                 fh.write(text)
         except OSError as exc:
             raise SchemaError(f"cannot write output: {exc}") from exc
+
+
+# JSON's spelling of the constants and of float.__repr__'s non-finite values.
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _encode(o, depth: int = 0) -> str:
+    """``json.dumps(o, indent=2, sort_keys=True)``, byte for byte.
+
+    The rules are ``json.encoder._make_iterencode``'s, without its
+    generator chain; a list of [re, im] float pairs (the ``data`` of
+    every matrix and vector) is rendered in C-level calls.
+    """
+    if o is None or o is True or o is False:
+        return _CONSTANTS[o]
+    if isinstance(o, str):
+        return _quote(o)
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        text = float.__repr__(o)
+        return _NON_FINITE.get(text, text)
+    outer = "\n" + "  " * depth
+    inner = outer + "  "
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        body = _float_pairs(o, inner) or ("," + inner).join([_encode(x, depth + 1) for x in o])
+        return "[" + inner + body + outer + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = [_quote(_key(k)) + ": " + _encode(v, depth + 1) for k, v in sorted(o.items())]
+        return "{" + inner + ("," + inner).join(items) + outer + "}"
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _key(k) -> str:
+    if not (k is None or isinstance(k, (str, int, float))):
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+    return k if isinstance(k, str) else _encode(k)
+
+
+def _float_pairs(o, inner: str):
+    """The items of a list of finite [re, im] float pairs at ``inner``, else None."""
+    if set(map(type, o)) != {list} or set(map(len, o)) != {2}:
+        return None
+    if set(map(type, chain.from_iterable(o))) != {float}:
+        return None
+    deeper = inner + "  "
+    reprs = map(float.__repr__, chain.from_iterable(o))
+    pairs = (inner + "]," + inner + "[" + deeper).join(map(("," + deeper).join, zip(reprs, reprs)))
+    # Only "nan" and "inf" put an "n" among the digits, signs, "." and "e".
+    return None if "n" in pairs else "[" + deeper + pairs + inner + "]"
 
 
 def _prefixed(prefix: str, report: CertificateReport):
@@ -277,11 +335,9 @@ def _check_arguments(args) -> None:
         if value is not None and not (math.isfinite(value) and value > 0):
             name = "--" + flag.replace("_", "-")
             raise SchemaError(f"{name}: expected a finite positive number, got {value!r}")
-    # solve checks its lower bound through SolverConfig.
-    if args.func in (_cmd_sample, _cmd_snake) and args.n is not None and not 1 <= args.n <= MAX_N:
-        raise SchemaError(f"--n: expected an integer from 1 to {MAX_N}, got {args.n}")
-    if args.func is _cmd_solve and args.n > SOLVE_MAX_N:
-        raise SchemaError(f"--n: expected an integer from 1 to {SOLVE_MAX_N}, got {args.n}")
+    cap = {_cmd_sample: MAX_N, _cmd_snake: MAX_N, _cmd_solve: SOLVE_MAX_N}.get(args.func)
+    if cap is not None and args.n is not None and not 1 <= args.n <= cap:
+        raise SchemaError(f"--n: expected an integer from 1 to {cap}, got {args.n}")
 
 
 @functools.cache

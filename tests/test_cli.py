@@ -4,11 +4,16 @@ import io
 import json
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from circleact import cli
 from circleact.cli import MAX_N, main
 from circleact.coaction import LinearObject
 from circleact.linalg import NoConvergence
@@ -99,7 +104,7 @@ class TestExitCodes:
         assert "invalid JSON" in err
 
     def test_bad_solver_config_exits_two(self, capsys):
-        code, _, err = run_cli(capsys, ["solve", "--n", "0", "--restarts", "1"])
+        code, _, err = run_cli(capsys, ["solve", "--n", "1", "--restarts", "0"])
         assert code == 2
         assert "config" in err
 
@@ -118,7 +123,7 @@ class TestExitCodes:
         assert flag in err
 
     @pytest.mark.parametrize("value", ["0", "-1"])
-    @pytest.mark.parametrize("command", ["snake", "sample"])
+    @pytest.mark.parametrize("command", ["snake", "sample", "solve"])
     def test_non_positive_n_exits_two_naming_flag(self, capsys, command, value):
         code, out, err = run_cli(capsys, [command, "--n", value])
         assert code == 2
@@ -446,3 +451,234 @@ class TestProcessState:
                 code = exc.code
             out, err = capsys.readouterr()
             assert (code, out, err) == fresh_run(argv)
+
+
+def dumps(x):
+    return json.dumps(x, indent=2, sort_keys=True)
+
+
+def outcome(encode, x):
+    """What ``encode(x)`` returns, or the type and message it raises."""
+    try:
+        return encode(x)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+FINITE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, -1e-300]),
+)
+PLAIN_FLOATS = st.one_of(
+    FINITE_FLOATS, st.floats(), st.sampled_from([float("nan"), float("inf"), float("-inf")])
+)
+FLOATS = st.one_of(PLAIN_FLOATS, st.floats().map(np.float64))
+TEXT = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u00e9", "\u2028", "\U0001f600", "\ud800", "/"]),
+)
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), FLOATS, TEXT)
+
+
+def pair_lists(floats):
+    return st.lists(st.lists(floats, min_size=2, max_size=2), min_size=1, max_size=4)
+
+
+# One item among finite float pairs that the fast path must refuse the list for.
+ODD_ITEMS = st.one_of(
+    st.tuples(st.integers(), FINITE_FLOATS).map(list),
+    st.tuples(FINITE_FLOATS, st.booleans()).map(list),
+    st.lists(FINITE_FLOATS, min_size=3, max_size=3),
+    st.tuples(FINITE_FLOATS, FINITE_FLOATS),
+    st.lists(FLOATS, min_size=2, max_size=2),
+    FLOATS,
+)
+NEAR_PAIRS = st.builds(
+    lambda pairs, i, odd: pairs[:i] + [odd] + pairs[i:],
+    pair_lists(FINITE_FLOATS),
+    st.integers(0, 4),
+    ODD_ITEMS,
+)
+# One key type per dict: json.dumps cannot sort mixed ones either.
+KEYS = [TEXT, st.integers(), PLAIN_FLOATS, st.booleans(), st.none()]
+JSON_TREES = st.recursive(
+    st.one_of(SCALARS, pair_lists(FINITE_FLOATS), pair_lists(PLAIN_FLOATS), NEAR_PAIRS),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.lists(children, max_size=3).map(tuple),
+        *(st.dictionaries(key, children, max_size=3) for key in KEYS),
+    ),
+    max_leaves=12,
+)
+
+
+# One argv per subcommand and outcome; a name in PAYLOAD_DOCS stands for
+# the path of that document.
+PAYLOAD_ARGVS = [
+    ["check", "--input", "obj"],
+    ["conjugate", "--input", "obj"],
+    ["conjugate", "--input", "shift"],
+    ["certify", "--input", "pair"],
+    ["certify", "--input", "broken"],
+    ["solve", "--n", "2", "--restarts", "2", "--seed", "3"],
+    ["decompose", "--input", "obj"],
+    ["decompose", "--input", "shift"],
+    ["sample", "--n", "3", "--seed", "4"],
+    ["fuse", "obj", "x"],
+    ["snake", "--n", "3"],
+]
+
+
+def payload_docs():
+    pair = sample_classical(2, seed=0)
+    broken = pair.to_json()
+    broken["C"]["data"][0][0] += 0.25
+    return {
+        "pair": pair.to_json(),
+        "broken": broken,
+        "obj": sample_classical(3, seed=2).object.to_json(),
+        "x": sample_classical(2, seed=1).object.to_json(),
+        "shift": SHIFT2.to_json(),
+    }
+
+
+class TestWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_TREES)
+    def test_matches_json_dumps(self, tree):
+        assert outcome(cli._encode, tree) == outcome(dumps, tree)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(pair_lists(PLAIN_FLOATS), NEAR_PAIRS), st.integers(0, 3))
+    def test_pair_lists_match_json_dumps(self, pairs, depth):
+        tree = pairs
+        for _ in range(depth):
+            tree = {"data": tree}
+        assert outcome(cli._encode, tree) == outcome(dumps, tree)
+
+    @pytest.mark.parametrize(
+        "bad", [object(), np.int64(1), 1j, {1, 2}, [1.0, object()], {(1,): 2}, {"a": b"x"}]
+    )
+    def test_refuses_what_json_dumps_refuses(self, bad):
+        assert outcome(cli._encode, bad) == outcome(dumps, bad)
+        assert isinstance(outcome(cli._encode, bad), tuple)
+
+    @pytest.mark.parametrize("argv", PAYLOAD_ARGVS, ids=lambda argv: "-".join(argv[:3]))
+    def test_every_subcommand_payload(self, monkeypatch, capsys, tmp_path, argv):
+        docs = payload_docs()
+        argv = [write_json(tmp_path / f"{a}.json", docs[a]) if a in docs else a for a in argv]
+        payloads = []
+
+        def spy(payload, path, reproducible):
+            payloads.append(payload)
+            write(payload, path, reproducible)
+
+        write = cli._write_payload
+        monkeypatch.setattr(cli, "_write_payload", spy)
+        main(argv)
+        out, _ = capsys.readouterr()
+        (payload,) = payloads
+        assert cli._encode(payload) == dumps(payload)
+        timestamp = json.loads(out)["timestamp"]
+        assert out == dumps(payload | {"timestamp": timestamp}) + "\n"
+
+
+# JSON values of every type; a replacement is drawn among those whose
+# type differs from the value it replaces (an int and a float inside a
+# [re, im] pair count as one type).
+WRONG_VALUES = [None, True, False, 0, 7, 1.5, 2.0, "x", "2", [], [1.0, 0.0], {}, {"rows": 2}]
+REQUIRED = {"rows", "cols", "data", "dim", "n", "A", "B", "C", "D"}
+REMOVE = object()
+
+
+def json_type(value, in_pair):
+    if in_pair and type(value) in (int, float):
+        return "number"
+    return type(value).__name__
+
+
+def locations(doc, where=()):
+    """(path, value) for every value in doc."""
+    yield where, doc
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from locations(value, where + (key,))
+
+
+def replaced(doc, where, value):
+    """A copy of doc with the value at ``where`` replaced, or removed."""
+    if not where:
+        return value
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in where[:-1]:
+        parent = parent[key]
+    if value is REMOVE:
+        del parent[where[-1]]
+    else:
+        parent[where[-1]] = value
+    return doc
+
+
+@st.composite
+def malformed(draw, doc):
+    """A document that breaks ``doc``'s schema in one place."""
+    named = lambda *names: [(w, v) for w, v in locations(doc) if w and w[-1] in names]
+    # A wrong type has the most places to go: it is drawn three times as often.
+    kind = draw(st.sampled_from(["type"] * 3 + ["missing", "count", "length", "envelope", "root"]))
+    if kind == "type":
+        # Walk down to a depth drawn first, so that every level of the
+        # document (root, object, matrix, entry, number) is drawn as often.
+        where, value, in_pair = (), doc, False
+        for _ in range(draw(st.integers(0, 4))):
+            if not isinstance(value, (dict, list)):
+                break
+            keys = list(value) if isinstance(value, dict) else range(len(value))
+            in_pair = isinstance(value, list) and where[-2:-1] == ("data",)
+            where += (draw(st.sampled_from(keys)),)
+            value = value[where[-1]]
+        wrong = [w for w in WRONG_VALUES if json_type(w, in_pair) != json_type(value, in_pair)]
+        return replaced(doc, where, draw(st.sampled_from(wrong)))
+    if kind == "missing":
+        where, _ = draw(st.sampled_from(named(*REQUIRED)))
+        return replaced(doc, where, REMOVE)
+    if kind == "count":
+        where, value = draw(st.sampled_from(named("rows", "cols", "dim")))
+        return replaced(doc, where, draw(st.integers(0, 9).filter(lambda k: k != value)))
+    if kind == "length":
+        where, value = draw(st.sampled_from(named("data")))
+        return replaced(doc, where, draw(st.sampled_from([value[:-1], value + [[0.0, 0.0]]])))
+    if kind == "envelope":
+        keys = TEXT.filter(lambda k: k not in ("pair", "product"))
+        rest = draw(st.dictionaries(keys, st.sampled_from(WRONG_VALUES), max_size=2))
+        return rest | {"kind": draw(st.sampled_from(WRONG_VALUES + ["sample", "fuse"]))}
+    return draw(st.sampled_from([w for w in WRONG_VALUES if not isinstance(w, dict)]))
+
+
+PAIR_DOC = sample_classical(2, seed=0).to_json()
+OBJECT_DOC = sample_classical(2, seed=1).object.to_json()
+
+
+class TestMalformedInput:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        command=st.sampled_from(["check", "certify", "decompose", "fuse"]),
+        data=st.data(),
+        wrapped=st.booleans(),
+        second=st.booleans(),
+    )
+    def test_exits_two_naming_an_input_path(self, command, data, wrapped, second):
+        doc = data.draw(malformed(PAIR_DOC if command == "certify" else OBJECT_DOC))
+        if wrapped:
+            doc = {"kind": "sample", "pair": doc}
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            bad = write_json(Path(tmp) / "bad.json", doc)
+            good = write_json(Path(tmp) / "good.json", OBJECT_DOC)
+            inputs = [good, bad] if second else [bad, good]
+            argv = ["fuse", *inputs] if command == "fuse" else [command, "--input", bad]
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+        assert (code, out.getvalue()) == (2, ""), (doc, err.getvalue())
+        assert err.getvalue().startswith("error: input"), (doc, err.getvalue())
+        assert err.getvalue().count("\n") == 1
