@@ -51,7 +51,10 @@ SUPPORT_BOUND = 64
 
 def kac_vector(n: int) -> np.ndarray:
     """The standard pairing vector: 1 at the flat indices i*n+i, else 0."""
-    return np.eye(n, dtype=complex).reshape(-1)
+    v = np.zeros(n * n, dtype=complex)
+    for i in range(n):
+        v[i * n + i] = 1.0
+    return v
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,9 +126,10 @@ class ConjugatePair:
             )
         s = kac_vector(n) if self.s is None else as_vector(self.s, path="s")
         t = kac_vector(n) if self.t is None else as_vector(self.t, path="t")
-        for name, v in (("s", s), ("t", t)):
-            if v.size != n * n:
-                raise DimensionMismatch(f"{name}: expected length {n * n}, got {v.size}")
+        if s.size != n * n:
+            raise DimensionMismatch(f"s: expected length {n * n}, got {s.size}")
+        if t.size != n * n:
+            raise DimensionMismatch(f"t: expected length {n * n}, got {t.size}")
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "D", D)
         object.__setattr__(self, "s", s)
@@ -230,34 +234,36 @@ class LaurentMatrixPoly:
 
     Stored as a mapping degree -> n x n coefficient matrix with
     normalized support: exactly zero coefficients are dropped.  Degrees
-    are capped at +-SUPPORT_BOUND.  Arithmetic passes ``_checked=True``:
-    its results skip re-validation unless their norm is not finite.
+    are capped at +-SUPPORT_BOUND.
     """
 
-    def __init__(self, n: int, coeffs=None, *, _checked: bool = False):
-        self.n = n = int(n)
+    def __init__(self, n: int, coeffs=None):
+        self.n = int(n)
         clean = {}
         for k, M in (coeffs or {}).items():
             k = int(k)
             if abs(k) > SUPPORT_BOUND:
                 raise ValueError(f"degree {k} exceeds the support bound {SUPPORT_BOUND}")
-            norm = frobenius(M) if _checked else np.nan
+            M = np.asarray(M, dtype=complex)
+            norm = frobenius(M) if M.shape == (self.n, self.n) else np.nan
+            # A finite norm of an n x n array already proves finite entries.
             if not norm < np.inf:
                 M = as_matrix(M, path=f"coefficient[{k}]")
-                if M.shape != (n, n):
-                    raise DimensionMismatch(f"coefficient[{k}]: expected {n}x{n}, got {M.shape}")
-                norm = frobenius(M)
+                if M.shape != (self.n, self.n):
+                    raise DimensionMismatch(
+                        f"coefficient[{k}]: expected {self.n}x{self.n}, got {M.shape}"
+                    )
             if norm != 0.0:
                 clean[k] = M
         self.coeffs = clean
 
     @classmethod
     def zero(cls, n: int) -> "LaurentMatrixPoly":
-        return cls(n, {}, _checked=True)
+        return cls(n, {})
 
     @classmethod
     def one(cls, n: int) -> "LaurentMatrixPoly":
-        return cls(n, {0: np.eye(n, dtype=complex)}, _checked=True)
+        return cls(n, {0: np.eye(n, dtype=complex)})
 
     def coeff(self, k: int) -> np.ndarray:
         return self.coeffs.get(k, np.zeros((self.n, self.n), dtype=complex))
@@ -271,21 +277,21 @@ class LaurentMatrixPoly:
         out = dict(self.coeffs)
         for k, M in other.coeffs.items():
             out[k] = out.get(k, 0) + M
-        return LaurentMatrixPoly(self.n, out, _checked=True)
+        return LaurentMatrixPoly(self.n, out)
 
     def __mul__(self, other):
         if np.isscalar(other):
-            scaled = {k: other * M for k, M in self.coeffs.items()}
-            return LaurentMatrixPoly(self.n, scaled, _checked=True)
+            return LaurentMatrixPoly(self.n, {k: other * M for k, M in self.coeffs.items()})
         if self.n != other.n:
             raise DimensionMismatch("cannot multiply expressions of different fiber size")
         out: dict = {}
         for j, M in self.coeffs.items():
             for k, N in other.coeffs.items():
                 out[j + k] = out.get(j + k, 0) + M @ N
-        return LaurentMatrixPoly(self.n, out, _checked=True)
+        return LaurentMatrixPoly(self.n, out)
 
-    __rmul__ = __mul__
+    def __rmul__(self, scalar):
+        return self.__mul__(scalar)
 
     def __pow__(self, k: int) -> "LaurentMatrixPoly":
         if k < 0:
@@ -297,8 +303,7 @@ class LaurentMatrixPoly:
 
     def adjoint(self) -> "LaurentMatrixPoly":
         """Star operation: degree k -> -k, coefficient -> its adjoint."""
-        star = {-k: adjoint(M) for k, M in self.coeffs.items()}
-        return LaurentMatrixPoly(self.n, star, _checked=True)
+        return LaurentMatrixPoly(self.n, {-k: adjoint(M) for k, M in self.coeffs.items()})
 
     def distance(self, other: "LaurentMatrixPoly") -> float:
         """Max over degrees of the Frobenius distance of coefficients."""
@@ -308,7 +313,7 @@ class LaurentMatrixPoly:
 
 def generator_image(obj: LinearObject) -> LaurentMatrixPoly:
     """Image of the circle generator: deg(+1) x A + deg(-1) x B."""
-    return LaurentMatrixPoly(obj.n, {1: obj.A, -1: obj.B}, _checked=True)
+    return LaurentMatrixPoly(obj.n, {1: obj.A, -1: obj.B})
 
 
 def apply_coaction(obj: LinearObject, p) -> LaurentMatrixPoly:

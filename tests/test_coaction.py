@@ -101,6 +101,27 @@ class TestLaurentAlgebra:
         with pytest.raises(ValueError):
             LaurentMatrixPoly(1, {SUPPORT_BOUND + 1: np.eye(1)})
 
+    @pytest.mark.parametrize(
+        "coeff, error, text",
+        [
+            (np.eye(3), DimensionMismatch, "expected 2x2"),
+            (np.ones(4), DimensionMismatch, "ndim=1"),
+            (np.ones((2, 2, 1)), DimensionMismatch, "ndim=3"),
+            (np.array([[np.nan, 0.0], [0.0, 1.0]]), ValueError, "non-finite"),
+            (np.array([[1.0, 0.0], [0.0, -np.inf]]), ValueError, "non-finite"),
+            (np.full((3, 3), np.nan), ValueError, "non-finite"),
+        ],
+    )
+    def test_coefficient_validation(self, coeff, error, text):
+        with pytest.raises(error, match=text):
+            LaurentMatrixPoly(2, {0: coeff})
+
+    def test_coefficient_with_overflowing_norm_is_kept(self):
+        with np.errstate(over="ignore"):
+            p = LaurentMatrixPoly(2, {1: np.full((2, 2), 1e308), 0: [[1, 0], [0, 1]]})
+        assert p.degrees() == [0, 1]
+        assert p.coeff(0).dtype == complex
+
     def test_support_bound_through_products(self):
         img = generator_image(rotation(np.exp(0.2j)))
         with pytest.raises(ValueError):
