@@ -152,13 +152,9 @@ def decompose(X: LinearObject, tol: float = 1e-9, seed: int = 0) -> Decompositio
     Deterministic for fixed (X, tol, seed); summands come out ordered by
     the eigenvalue clusters of the random words.
     """
-    hom = check_homomorphism(X, tol)
-    if not hom.overall_pass:
-        failed = ", ".join(c.name for c in hom.checks if not c.passed)
-        raise DecompositionFailure(
-            f"object fails the homomorphism equations {failed} "
-            f"(max residual {hom.max_residual():.3e})"
-        )
+    check_homomorphism(X, tol).require(
+        "object fails the homomorphism equations", DecompositionFailure
+    )
     try:
         W = classical_form(X, tol, seed=seed).W
     except (ConstraintViolation, NotSimultaneouslyDiagonalizable, AmbiguousSlot):

@@ -128,11 +128,9 @@ def canonical_dual(obj: LinearObject, tol: float = 1e-9) -> ConjugatePair:
     still has to be certified by the caller; canonicity of the formulas
     does not by itself guarantee validity of the input.
     """
-    report = check_homomorphism(obj, tol)
-    if not report.overall_pass:
-        raise ConstraintViolation(
-            f"object fails the homomorphism equations (max residual {report.max_residual():.3e})"
-        )
+    check_homomorphism(obj, tol).require(
+        "object fails the homomorphism equations", ConstraintViolation
+    )
     return ConjugatePair(obj, obj.A.conj(), obj.B.T)
 
 
@@ -200,16 +198,12 @@ def classical_form(
     Deterministic for fixed (obj, tol, seed): randomness comes from a
     named-seed generator consumed in a fixed recursion order.
     """
-    hom = check_homomorphism(obj, tol)
-    if not hom.overall_pass:
-        raise ConstraintViolation(
-            f"object fails the homomorphism equations (max residual {hom.max_residual():.3e})"
-        )
-    comm = certify_commutativity(obj, tol)
-    if not comm.overall_pass:
-        raise ConstraintViolation(
-            f"object fails the commutativity residuals (max residual {comm.max_residual():.3e})"
-        )
+    check_homomorphism(obj, tol).require(
+        "object fails the homomorphism equations", ConstraintViolation
+    )
+    certify_commutativity(obj, tol).require(
+        "object fails the commutativity residuals", ConstraintViolation
+    )
 
     A, B = obj.A, obj.B
     n = obj.n
@@ -248,18 +242,12 @@ def classical_form(
 
 
 def _require_valid_pair(pair: ConjugatePair, tol: float) -> None:
-    hom = check_homomorphism(pair.object, tol)
-    if not hom.overall_pass:
-        raise ConstraintViolation(
-            f"primal candidate fails the homomorphism equations "
-            f"(max residual {hom.max_residual():.3e})"
-        )
-    conj = check_conjugate_matrix(pair, tol)
-    if not conj.overall_pass:
-        raise ConstraintViolation(
-            f"pair fails the matrix level duality equations "
-            f"(max residual {conj.max_residual():.3e})"
-        )
+    check_homomorphism(pair.object, tol).require(
+        "primal candidate fails the homomorphism equations", ConstraintViolation
+    )
+    check_conjugate_matrix(pair, tol).require(
+        "pair fails the matrix level duality equations", ConstraintViolation
+    )
 
 
 def split_hermitian(family, tol: float, rng) -> list[np.ndarray]:

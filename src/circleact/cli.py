@@ -82,6 +82,8 @@ def _read_payload(path):
         raise SchemaError(f"{where}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except RecursionError as exc:
         raise SchemaError(f"{where}: JSON nested too deeply") from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise SchemaError(f"{where}: {exc}") from exc
 
 
 def _unwrap(payload):

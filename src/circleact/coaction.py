@@ -19,7 +19,9 @@ the two candidates can be certified along two independent routes:
   applied as vec(G S M^T), so the route costs O(n^3).
 
 For the standard pairing vectors the two routes agree exactly; keeping
-both guards against errors in either derivation.
+both guards against errors in either derivation.  The twenty matrix
+equations are written once, in the constraint table below, which the
+matrix-level certifiers evaluate and the solver compiles.
 """
 
 from __future__ import annotations
@@ -205,28 +207,19 @@ class CertificateReport:
     def max_residual(self) -> float:
         return max((c.residual for c in self.checks), default=0.0)
 
+    def require(self, what: str, error: type[Exception]) -> None:
+        """Raise error, naming the failed checks and the max residual,
+        unless every check passed."""
+        if not self.overall_pass:
+            failed = ", ".join(c.name for c in self.checks if not c.passed)
+            raise error(f"{what} {failed} (max residual {self.max_residual():.3e})")
+
     def to_json(self) -> dict:
         return {
             "tolerance": self.tolerance,
             "checks": [c.to_json() for c in self.checks],
             "overall_pass": self.overall_pass,
         }
-
-    @classmethod
-    def from_json(cls, obj, *, path: str = "report") -> "CertificateReport":
-        if not isinstance(obj, dict):
-            raise SchemaError(f"{path}: expected an object")
-        for key in ("tolerance", "checks"):
-            if key not in obj:
-                raise SchemaError(f"{path}.{key}: missing")
-        checks = []
-        if not isinstance(obj["checks"], list):
-            raise SchemaError(f"{path}.checks: expected a list")
-        for i, c in enumerate(obj["checks"]):
-            if not isinstance(c, dict) or not {"name", "residual", "threshold"} <= set(c):
-                raise SchemaError(f"{path}.checks[{i}]: malformed check record")
-            checks.append(CheckResult(c["name"], float(c["residual"]), float(c["threshold"])))
-        return cls(float(obj["tolerance"]), tuple(checks))
 
 
 class LaurentMatrixPoly:
@@ -351,6 +344,78 @@ def compose_image(outer: LinearObject, inner: LaurentMatrixPoly) -> LaurentMatri
     return LaurentMatrixPoly(outer.n * inner.n, out)
 
 
+# Variable indices into the quadruple (A, B, C, D).
+_A, _B, _C, _D = 0, 1, 2, 3
+
+# Occurrence codes: how a variable enters a constraint term, numbered
+# 2 * transposed + conjugated so that doing one after another is the XOR
+# of their codes.
+_PLAIN, _CONJ, _TRANS, _ADJ = 0, 1, 2, 3
+
+
+def _constraint_table():
+    """The twenty constraints as (terms, has_identity) records.
+
+    Rows 0-5 make (A, B) a coaction candidate, rows 6-11 do the same for
+    (C, D), and rows 12-19 are the eight duality equations.  Each term
+    (i, op_i, j, op_j) stands for op_i(M_i) @ op_j(M_j); a constraint is
+    the sum of its terms minus the identity when flagged.  This is the
+    only statement of the system: the certifiers below evaluate it
+    equation by equation, and the solver compiles it into its kernel.
+    """
+    cons = []
+    for x, y in ((_A, _B), (_C, _D)):
+        cons.append(([(x, _PLAIN, x, _ADJ), (y, _PLAIN, y, _ADJ)], True))
+        cons.append(([(x, _PLAIN, y, _ADJ)], False))
+        cons.append(([(y, _PLAIN, x, _ADJ)], False))
+        cons.append(([(x, _ADJ, x, _PLAIN), (y, _ADJ, y, _PLAIN)], True))
+        cons.append(([(y, _ADJ, x, _PLAIN)], False))
+        cons.append(([(x, _ADJ, y, _PLAIN)], False))
+    cons.append(([(_C, _PLAIN, _A, _TRANS), (_D, _ADJ, _B, _TRANS)], True))
+    cons.append(([(_D, _PLAIN, _A, _TRANS), (_C, _ADJ, _B, _TRANS)], False))
+    cons.append(([(_C, _ADJ, _A, _CONJ), (_D, _PLAIN, _B, _CONJ)], True))
+    cons.append(([(_D, _ADJ, _A, _CONJ), (_C, _PLAIN, _B, _CONJ)], False))
+    cons.append(([(_A, _PLAIN, _C, _TRANS), (_B, _ADJ, _D, _TRANS)], True))
+    cons.append(([(_B, _PLAIN, _C, _TRANS), (_A, _ADJ, _D, _TRANS)], False))
+    cons.append(([(_A, _ADJ, _C, _CONJ), (_B, _PLAIN, _D, _CONJ)], True))
+    cons.append(([(_B, _ADJ, _C, _CONJ), (_A, _PLAIN, _D, _CONJ)], False))
+    return tuple(cons)
+
+
+def _constraint_name(terms, has_identity) -> str:
+    """The check name of a constraint, e.g. "CAt+D*Bt-I"."""
+    mark = ("", "bar", "t", "*")
+    name = "+".join("ABCD"[i] + mark[p] + "ABCD"[j] + mark[q] for i, p, j, q in terms)
+    return name + "-I" if has_identity else name
+
+
+_CONSTRAINTS = _constraint_table()
+_NAMES = tuple(_constraint_name(*c) for c in _CONSTRAINTS)
+
+
+def _report(mats, rows, tol: float) -> CertificateReport:
+    """One check per constraint row, evaluated at mats = (A, B[, C, D]).
+
+    The operand forms M, conj(M), M^T and M^H are built once; each
+    residual is the Frobenius norm of the first product, plus each
+    further one, minus the identity when flagged.
+    """
+    forms = []
+    for M in mats:
+        Mc = M.conj()
+        forms.append((M, Mc, M.T, Mc.T))
+    I = np.eye(mats[0].shape[0], dtype=complex)
+    checks = []
+    for r in rows:
+        terms, has_identity = _CONSTRAINTS[r]
+        (i, p, j, q), *rest = terms
+        F = forms[i][p] @ forms[j][q]
+        for i, p, j, q in rest:
+            F = F + forms[i][p] @ forms[j][q]
+        checks.append(CheckResult(_NAMES[r], frobenius(F - I if has_identity else F), tol))
+    return CertificateReport(tol, tuple(checks))
+
+
 def check_homomorphism(obj: LinearObject, tol: float = 1e-9) -> CertificateReport:
     """Certify the six equations making (A, B) a coaction.
 
@@ -358,17 +423,7 @@ def check_homomorphism(obj: LinearObject, tol: float = 1e-9) -> CertificateRepor
     supported on complementary ranges: A A* + B B* = I, A B* = 0,
     B A* = 0, A* A + B* B = I, B* A = 0, A* B = 0.
     """
-    A, B = obj.A, obj.B
-    I = np.eye(obj.n, dtype=complex)
-    checks = (
-        CheckResult("AA*+BB*-I", frobenius(A @ adjoint(A) + B @ adjoint(B) - I), tol),
-        CheckResult("AB*", frobenius(A @ adjoint(B)), tol),
-        CheckResult("BA*", frobenius(B @ adjoint(A)), tol),
-        CheckResult("A*A+B*B-I", frobenius(adjoint(A) @ A + adjoint(B) @ B - I), tol),
-        CheckResult("B*A", frobenius(adjoint(B) @ A), tol),
-        CheckResult("A*B", frobenius(adjoint(A) @ B), tol),
-    )
-    return CertificateReport(tol, checks)
+    return _report((obj.A, obj.B), range(6), tol)
 
 
 def check_conjugate_matrix(pair: ConjugatePair, tol: float = 1e-9) -> CertificateReport:
@@ -379,23 +434,8 @@ def check_conjugate_matrix(pair: ConjugatePair, tol: float = 1e-9) -> Certificat
     homomorphism equations for (A, B) are the business of
     ``check_homomorphism`` and are not repeated here.
     """
-    A, B, C, D = pair.object.A, pair.object.B, pair.C, pair.D
-    I = np.eye(pair.object.n, dtype=complex)
-    duality = (
-        CheckResult("CAt+D*Bt-I", frobenius(C @ A.T + adjoint(D) @ B.T - I), tol),
-        CheckResult("DAt+C*Bt", frobenius(D @ A.T + adjoint(C) @ B.T), tol),
-        CheckResult("C*Abar+DBbar-I", frobenius(adjoint(C) @ A.conj() + D @ B.conj() - I), tol),
-        CheckResult("D*Abar+CBbar", frobenius(adjoint(D) @ A.conj() + C @ B.conj()), tol),
-        CheckResult("ACt+B*Dt-I", frobenius(A @ C.T + adjoint(B) @ D.T - I), tol),
-        CheckResult("BCt+A*Dt", frobenius(B @ C.T + adjoint(A) @ D.T), tol),
-        CheckResult("A*Cbar+BDbar-I", frobenius(adjoint(A) @ C.conj() + B @ D.conj() - I), tol),
-        CheckResult("B*Cbar+ADbar", frobenius(adjoint(B) @ C.conj() + A @ D.conj()), tol),
-    )
-    dual_hom = tuple(
-        CheckResult(c.name.replace("A", "C").replace("B", "D"), c.residual, c.threshold)
-        for c in check_homomorphism(pair.dual_object, tol).checks
-    )
-    return CertificateReport(tol, duality + dual_hom)
+    mats = (pair.object.A, pair.object.B, pair.C, pair.D)
+    return _report(mats, (*range(12, 20), *range(6, 12)), tol)
 
 
 def composite_on_vector(outer: LinearObject, inners, v: np.ndarray) -> list:

@@ -26,7 +26,14 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .linalg import adjoint
-from .coaction import ConjugatePair, LinearObject, check_conjugate_matrix
+from .coaction import (
+    _ADJ,
+    _CONSTRAINTS,
+    _TRANS,
+    ConjugatePair,
+    LinearObject,
+    check_conjugate_matrix,
+)
 from .certify import certify_commutativity
 
 # L-BFGS memory: (s, y) pairs kept.  At n <= 4 a two-loop over 8 pairs
@@ -41,67 +48,33 @@ SOLVE_MAX_N = 64
 ALGORITHM = f"L-BFGS (memory {_MEMORY}) with Armijo backtracking"
 RNG_FAMILY = "numpy PCG64"
 
-# Variable indices into the packed point (A, B, C, D).
-_A, _B, _C, _D = 0, 1, 2, 3
-
-# Occurrence codes: how a variable enters a constraint term, numbered
-# 2 * transposed + conjugated so that doing one after another is the XOR
-# of their codes.  The occurrence matrices are stacked code-major:
-# variable v under code c is entry 4 * c + v.
-_PLAIN, _CONJ, _TRANS, _ADJ = 0, 1, 2, 3
-
-
-def _constraint_table():
-    """The twenty constraints as (terms, has_identity) records.
-
-    Each term (i, op_i, j, op_j) stands for op_i(M_i) @ op_j(M_j); a
-    constraint is the sum of its terms minus the identity when flagged.
-    """
-    cons = []
-    for x, y in ((_A, _B), (_C, _D)):
-        cons.append(([(x, _PLAIN, x, _ADJ), (y, _PLAIN, y, _ADJ)], True))
-        cons.append(([(x, _PLAIN, y, _ADJ)], False))
-        cons.append(([(y, _PLAIN, x, _ADJ)], False))
-        cons.append(([(x, _ADJ, x, _PLAIN), (y, _ADJ, y, _PLAIN)], True))
-        cons.append(([(y, _ADJ, x, _PLAIN)], False))
-        cons.append(([(x, _ADJ, y, _PLAIN)], False))
-    cons.append(([(_C, _PLAIN, _A, _TRANS), (_D, _ADJ, _B, _TRANS)], True))
-    cons.append(([(_D, _PLAIN, _A, _TRANS), (_C, _ADJ, _B, _TRANS)], False))
-    cons.append(([(_C, _ADJ, _A, _CONJ), (_D, _PLAIN, _B, _CONJ)], True))
-    cons.append(([(_D, _ADJ, _A, _CONJ), (_C, _PLAIN, _B, _CONJ)], False))
-    cons.append(([(_A, _PLAIN, _C, _TRANS), (_B, _ADJ, _D, _TRANS)], True))
-    cons.append(([(_B, _PLAIN, _C, _TRANS), (_A, _ADJ, _D, _TRANS)], False))
-    cons.append(([(_A, _ADJ, _C, _CONJ), (_B, _PLAIN, _D, _CONJ)], True))
-    cons.append(([(_B, _ADJ, _C, _CONJ), (_A, _PLAIN, _D, _CONJ)], False))
-    return cons
-
-
 def _oriented(M):
-    """The four orientations of a stack of matrices, code-major."""
+    """The four orientations of a stack of matrices, code-major: matrix v
+    under occurrence code c is entry 4 * c + v."""
     Mc = M.conj()
     return np.concatenate((M, Mc, M.transpose(0, 2, 1), Mc.transpose(0, 2, 1)))
 
 
 def _kernel_indices(cons):
-    """Index arrays of the stacked kernel, built once from the table.
+    """Index arrays of the stacked kernel, built once from a constraint table.
 
     Each output matrix is a row of (left, right) index pairs into a
     stack, summing their products.  The stack holds the 16 occurrences,
     a zero matrix that pads short rows and, for the gradient, op(F_c) at
-    17 + 20 * code + c.  Constraint c has one pair per term.  The
+    17 + len(cons) * code + c.  Constraint c has one pair per term.  The
     gradient of variable v has one pair per occurrence: a term M1 @ M2
     of constraint F sends F @ M2^H to its left factor and M1^H @ F to
     its right one, and a factor op(v) pulls that back to v through op,
     which acts on both factors and swaps them when it transposes.
     """
-    zero, phi = 16, 17
+    zero, phi, m = 16, 17, len(cons)
     terms, pieces = [], [[] for _ in range(4)]
     for c, (ts, _) in enumerate(cons):
         terms.append([(4 * o1 + i1, 4 * o2 + i2) for i1, o1, i2, o2 in ts])
         for i1, o1, i2, o2 in ts:
             k = o1 ^ o2 ^ _ADJ  # the code of op1(M2^H) and of op2(M1^H)
-            for v, o, pair in ((i1, o1, (phi + 20 * o1 + c, 4 * k + i2)),
-                               (i2, o2, (4 * k + i1, phi + 20 * o2 + c))):
+            for v, o, pair in ((i1, o1, (phi + m * o1 + c, 4 * k + i2)),
+                               (i2, o2, (4 * k + i1, phi + m * o2 + c))):
                 pieces[v].append(pair[::-1] if o & _TRANS else pair)
 
     def padded(rows):
@@ -113,7 +86,7 @@ def _kernel_indices(cons):
     return padded(terms), padded(pieces), np.array(identity)
 
 
-_TERMS, _PIECES, _IDENTITY = _kernel_indices(_constraint_table())
+_TERMS, _PIECES, _IDENTITY = _kernel_indices(_CONSTRAINTS)
 
 
 def _sum_of_products(S, index):

@@ -1,5 +1,7 @@
 """Certification chain tests: partial isometries, polar data, duality, classical form."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -96,7 +98,11 @@ class TestCertifyDuality:
         lam, mu = np.exp(0.3j), np.exp(1.1j)
         obj = LinearObject(2, np.diag([lam, mu]), np.zeros((2, 2)))
         twisted = ConjugatePair(obj, np.exp(0.1j) * obj.A.conj(), np.zeros((2, 2)))
-        with pytest.raises(ConstraintViolation):
+        message = (
+            "pair fails the matrix level duality equations CAt+D*Bt-I, C*Abar+DBbar-I, "
+            "ACt+B*Dt-I, A*Cbar+BDbar-I (max residual 1.414e-01)"
+        )
+        with pytest.raises(ConstraintViolation, match=f"^{re.escape(message)}$"):
             certify_duality(twisted)
 
     def test_phase_twist_residual_value(self):
@@ -132,7 +138,10 @@ class TestCanonicalDual:
             assert frobenius(canon.D - pair.D) == 0.0
 
     def test_invalid_object_rejected(self):
-        with pytest.raises(ConstraintViolation):
+        message = (
+            "object fails the homomorphism equations AA*+BB*-I, A*A+B*B-I (max residual 1.000e+00)"
+        )
+        with pytest.raises(ConstraintViolation, match=f"^{re.escape(message)}$"):
             canonical_dual(SHIFT)
 
     def test_result_passes_both_checkers(self):

@@ -155,6 +155,24 @@ class TestExitCodes:
         assert "nested too deeply" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("via_file", [True, False])
+    def test_oversized_integer_exits_two_naming_source(
+        self, capsys, monkeypatch, tmp_path, via_file
+    ):
+        # 5001 digits, past Python's 4300-digit limit on int parsing
+        text = '{"n": 1' + "0" * 5000 + "}"
+        if via_file:
+            path = tmp_path / "big.json"
+            path.write_text(text, encoding="utf-8")
+            argv, where = ["check", "--input", str(path)], str(path)
+        else:
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            argv, where = ["check"], "stdin"
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith(f"error: {where}: ")
+
     def test_no_convergence_exits_one(self, capsys, monkeypatch, tmp_path):
         def fail(*_args, **_kwargs):
             raise NoConvergence("eigh did not converge")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from circleact.coaction import (
+    _NAMES,
     SUPPORT_BOUND,
     CertificateReport,
     CheckResult,
@@ -35,6 +36,9 @@ ROUTE_PAIRING = {
     "A*Cbar+BDbar-I": "raw[gen*,t,deg-1]",
     "B*Cbar+ADbar": "raw[gen*,t,deg+1]",
 }
+
+HOM_NAMES = ["AA*+BB*-I", "AB*", "BA*", "A*A+B*B-I", "B*A", "A*B"]
+DUAL_HOM_NAMES = ["CC*+DD*-I", "CD*", "DC*", "C*C+D*D-I", "D*C", "C*D"]
 
 
 def perturbed(pair, rng, eps=1e-3):
@@ -84,12 +88,6 @@ class TestTypes:
         payload = sample_classical(2, seed=13).object.to_json()
         with pytest.raises(SchemaError, match="pair.C"):
             ConjugatePair.from_json(payload)
-
-    def test_report_json_round_trip(self):
-        report = check_homomorphism(sample_classical(2, seed=14).object)
-        back = CertificateReport.from_json(report.to_json())
-        assert back.overall_pass == report.overall_pass
-        assert [c.name for c in back.checks] == [c.name for c in report.checks]
 
 
 class TestLaurentAlgebra:
@@ -199,6 +197,17 @@ class TestApplyCoaction:
         img = generator_image(shift)
         prod = img * img.adjoint()
         assert prod.distance(LaurentMatrixPoly.one(2)) > 0.5
+
+
+class TestConstraintTable:
+    def test_names_derived_from_terms(self):
+        assert list(_NAMES) == HOM_NAMES + DUAL_HOM_NAMES + list(ROUTE_PAIRING)
+
+    def test_report_order(self):
+        pair = sample_classical(2, seed=4)
+        assert [c.name for c in check_homomorphism(pair.object).checks] == HOM_NAMES
+        names = [c.name for c in check_conjugate_matrix(pair).checks]
+        assert names == list(ROUTE_PAIRING) + DUAL_HOM_NAMES
 
 
 class TestHomomorphism:

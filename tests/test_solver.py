@@ -7,6 +7,9 @@ import pytest
 
 from circleact.certify import certify_commutativity, classical_form
 from circleact.coaction import (
+    _CONSTRAINTS,
+    ConjugatePair,
+    LinearObject,
     check_conjugate_matrix,
     check_conjugate_raw,
     check_homomorphism,
@@ -48,8 +51,6 @@ class TestPenalty:
 
     def test_penalty_matches_certifier_residuals(self):
         rng = np.random.default_rng(2)
-        from circleact.coaction import ConjugatePair, LinearObject
-
         for n in (1, 2, 3, 5):
             mats = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
                     for _ in range(4)]
@@ -81,6 +82,28 @@ class TestGradient:
                 for _ in range(4)
             )
             assert gradient_check(mats, seed=trial) <= 1e-4
+
+
+class TestConstraintSubset:
+    def test_homomorphism_rows_alone(self, monkeypatch):
+        # The twelve homomorphism rows compile to a kernel of their own:
+        # its penalty is the sum of those rows' squared certifier
+        # residuals, and its gradient matches central differences.
+        terms, pieces, identity = solver._kernel_indices(_CONSTRAINTS[:12])
+        monkeypatch.setattr(solver, "_TERMS", terms)
+        monkeypatch.setattr(solver, "_PIECES", pieces)
+        monkeypatch.setattr(solver, "_IDENTITY", identity)
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 3, 5):
+            mats = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                    for _ in range(4)]
+            expected = sum(
+                c.residual ** 2
+                for A, B in (mats[:2], mats[2:])
+                for c in check_homomorphism(LinearObject(n, A, B)).checks
+            )
+            assert residual(*mats) == pytest.approx(expected, rel=1e-12)
+            assert gradient_check(mats, seed=n) <= 1e-4
 
 
 class TestMinimize:
