@@ -440,16 +440,13 @@ def main(argv=None) -> int:
         _check_arguments(args)
         payload, passed = args.func(args)
         _write_payload(payload, args.output, args.reproducible)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NoConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:
         print("error: out of memory: the input is too large for this machine", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, TypeError, RuntimeError) as exc:
+    except (ValueError, KeyError, TypeError, RuntimeError) as exc:  # SchemaError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if passed else 1

@@ -444,7 +444,7 @@ def composite_on_vector(outer: LinearObject, inners, v: np.ndarray) -> list:
     The expansion is ``compose_image``'s, but each term kron(G, M) is
     applied to v = vec(S) as vec(G S M^T) (see ``kron``): O(n^3), and
     no n^2 x n^2 matrix is formed.  Returns one {degree: vector} per
-    inner, without the degrees ``LaurentMatrixPoly`` drops as zero.
+    inner, with every degree the expansion produces.
     """
     S = unvec(v, outer.n, inners[0].n)
     degrees = set().union(*(inner.coeffs for inner in inners))
@@ -454,22 +454,9 @@ def composite_on_vector(outer: LinearObject, inners, v: np.ndarray) -> list:
         terms: dict = {}
         for k, M in inner.coeffs.items():
             for d, G in images[k].coeffs.items():
-                terms.setdefault(d, []).append((G, M))
-        live = {d: T for d, T in terms.items() if not _vanish(T)}
-        out.append({d: vec(sum(G @ S @ M.T for G, M in T)) for d, T in live.items()})
+                terms[d] = terms.get(d, 0) + G @ S @ M.T
+        out.append({d: vec(T) for d, T in terms.items()})
     return out
-
-
-def _vanish(terms) -> bool:
-    """Whether the sum of kron(G, M) over terms is exactly zero.
-
-    Its exact squared norm, the sum of <G_i, G_j> <M_i, M_j>, costs
-    O(n^2); only a sum below 1e-4 of the terms' norms is formed and
-    tested as ``LaurentMatrixPoly`` tests it.
-    """
-    size = sum(frobenius(G) * frobenius(M) for G, M in terms)
-    gram = sum(np.vdot(G, H) * np.vdot(M, N) for G, M in terms for H, N in terms).real
-    return not gram > 1e-8 * size**2 and frobenius(sum(kron(G, M) for G, M in terms)) == 0.0
 
 
 def check_conjugate_raw(pair: ConjugatePair, tol: float = 1e-9) -> CertificateReport:

@@ -1,8 +1,10 @@
-"""Acceptance gate: the six package-level criteria, one printed verdict line each.
+"""Acceptance gate: the seven package-level criteria, one printed verdict line each.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 lines.  Criteria 1 and 2 share one set of solver runs via a module
-fixture; everything else is self-contained and seeded.
+fixture; everything else is self-contained and seeded.  Criterion 7 is
+the negative control of criterion 1: without the duality equations the
+same search must find counterexamples.
 """
 
 import json
@@ -14,9 +16,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from circleact import cli, solver
 from circleact.category import check_snake, decompose, direct_sum, tensor_product
 from circleact.certify import certify_commutativity, certify_duality, classical_form, is_partial_isometry, polar_data
 from circleact.coaction import (
+    _CONSTRAINTS,
     ConjugatePair,
     LinearObject,
     check_conjugate_matrix,
@@ -340,4 +344,33 @@ def test_criterion_6_numerical_hygiene():
         f"worst gradient deviation {worst_grad:.2e} (<=1e-4) at 20 points, worst "
         f"eigen reconstruction {worst_eig:.2e} (<=1e-10) on 100 matrices, CLI "
         f"golden files byte-stable: {'ok' if golden_ok else 'BROKEN'}",
+    )
+
+
+def test_criterion_7_negative_control(monkeypatch, tmp_path):
+    # Rows 0-11 are the homomorphism equations of (A, B) and (C, D);
+    # dropping the eight duality rows admits non-commutative solutions.
+    terms, pieces, identity = solver._kernel_indices(_CONSTRAINTS[:12])
+    monkeypatch.setattr(solver, "_TERMS", terms)
+    monkeypatch.setattr(solver, "_PIECES", pieces)
+    monkeypatch.setattr(solver, "_IDENTITY", identity)
+    ok = True
+    found = {}
+    for n in (2, 3, 4):
+        out = tmp_path / f"solve_n{n}.json"
+        code = cli.main([
+            "solve", "--n", str(n), "--restarts", "8", "--seed", "0",
+            "--reproducible", "--output", str(out),
+        ])
+        counterexamples = json.loads(out.read_text(encoding="utf-8"))["counterexamples"]
+        found[n] = len(counterexamples)
+        if code != 1 or not counterexamples:
+            ok = False
+    _report(
+        7,
+        "negative control",
+        ok,
+        "homomorphism-only search (no duality rows), 8 restarts, seed 0: "
+        + ", ".join(f"n={n}: {k}/8 counterexamples" for n, k in found.items())
+        + " (each run must exit 1 with at least one)",
     )
