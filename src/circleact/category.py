@@ -78,8 +78,6 @@ def conjugate_object(X: LinearObject) -> LinearObject:
 class MorphismBasis:
     """Orthonormal basis (Frobenius inner product) of morphisms X -> Y."""
 
-    source: LinearObject
-    target: LinearObject
     basis: tuple
 
     @property
@@ -102,7 +100,7 @@ def morphism_space(X: LinearObject, Y: LinearObject, tol: float = 1e-9) -> Morph
     M = np.vstack([KA, KB])
     vectors = nullspace_basis(M, tol)
     basis = tuple(unvec(v, ny, nx) for v in vectors)
-    return MorphismBasis(X, Y, basis)
+    return MorphismBasis(basis)
 
 
 def is_irreducible(X: LinearObject, tol: float = 1e-9) -> bool:
@@ -178,8 +176,10 @@ def _decompose_commutant(X: LinearObject, tol: float, seed: int) -> Decompositio
     space at every node.  End(X) always contains the identity, so an
     empty one means tol is below the noise floor and raises
     DecompositionFailure.  A leaf of dimension > 1 must have a one
-    dimensional self morphism space.  This route needs no commutativity,
-    and it is the independent oracle for the classical route.
+    dimensional self morphism space; when nothing splits, the leaf is X
+    and that space is End(X), which is not computed again.  This route
+    needs no commutativity, and it is the independent oracle for the
+    classical route.
     """
     mor = morphism_space(X, X, tol)
     if mor.dim == 0:
@@ -192,10 +192,14 @@ def _decompose_commutant(X: LinearObject, tol: float, seed: int) -> Decompositio
     family = np.concatenate([basis + basis_h, 1j * (basis - basis_h)]) / 2.0
     rng = np.random.default_rng(np.random.SeedSequence((seed, X.n)))
     summands = []
-    for V in split_hermitian(family, tol, rng):
+    blocks = split_hermitian(family, tol, rng)
+    for V in blocks:
         leaf = LinearObject(V.shape[1], adjoint(V) @ X.A @ V, adjoint(V) @ X.B @ V)
-        if leaf.n > 1 and morphism_space(leaf, leaf, tol).dim != 1:
-            raise DecompositionFailure("no splitting word found for a reducible candidate")
+        if leaf.n > 1:
+            # An unsplit block is X itself, whose self morphism space is mor.
+            end = mor if len(blocks) == 1 else morphism_space(leaf, leaf, tol)
+            if end.dim != 1:
+                raise DecompositionFailure("no splitting word found for a reducible candidate")
         summands.append((leaf, V))
     return _certified_decomposition(X, summands, tol, seed)
 

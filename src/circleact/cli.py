@@ -1,17 +1,18 @@
 """Command line front end.
 
 Subcommands map one to one onto the library surface: check, conjugate,
-certify, solve, decompose, sample, fuse, snake.  Input objects are read
-from --input (or stdin), results are written as JSON to --output (or
-stdout).  Subcommands compose: an output envelope carrying an object
-("pair" from sample or conjugate, "product" from fuse) is accepted
-wherever an object or pair document is expected.  Exit codes: 0 all
-checks passed, 1 a check failed or a counterexample was found, 2
-input/output or schema trouble (with a diagnostic naming the offending
-JSON path, never a stack trace).  A numerical routine that fails to
-converge is a measured failure and exits 1.  The dimension that snake
-and sample build from (--n, or snake's input "n") is capped at MAX_N,
-and solve's --n at solver.SOLVE_MAX_N; a larger one exits 2 before
+certify, solve, decompose, sample, fuse, snake.  Input objects are
+read from --input (or stdin), results are written as JSON to --output
+(or stdout).  Subcommands compose: an output envelope carrying an
+object ("pair" from sample or conjugate, "product" from fuse) is
+accepted wherever an object or pair document is expected, snake's
+input included.  Exit codes: 0 all checks passed, 1 a check failed or
+a counterexample was found, 2 input/output or schema trouble (with a
+diagnostic naming the offending JSON path, never a stack trace).  A
+numerical routine that fails to converge is a measured failure and
+exits 1.  The dimension that snake and sample build from (--n, or
+snake's input "n") is capped at MAX_N, and solve's --n at
+solver.SOLVE_MAX_N; a larger one, or a negative --seed, exits 2 before
 anything is allocated.  Running out of memory on any other input exits
 2 as well: nothing was measured, and the input asked for more than the
 machine has.
@@ -287,14 +288,14 @@ def _cmd_fuse(args) -> tuple[dict, bool]:
     if args.inputs:
         if len(args.inputs) != 2:
             raise SchemaError("fuse expects exactly two input paths (or none for stdin)")
-        left = LinearObject.from_json(_unwrap(_read_payload(args.inputs[0])), path="inputs[0]")
-        right = LinearObject.from_json(_unwrap(_read_payload(args.inputs[1])), path="inputs[1]")
+        # A generator: each file is parsed before the next one is read.
+        docs = ((_read_payload(path), f"inputs[{i}]") for i, path in enumerate(args.inputs))
     else:
         payload_in = _read_payload(None)
         if not isinstance(payload_in, list) or len(payload_in) != 2:
             raise SchemaError("stdin: expected a JSON array of two objects")
-        left = LinearObject.from_json(_unwrap(payload_in[0]), path="[0]")
-        right = LinearObject.from_json(_unwrap(payload_in[1]), path="[1]")
+        docs = ((doc, f"[{i}]") for i, doc in enumerate(payload_in))
+    left, right = (LinearObject.from_json(_unwrap(doc), path=path) for doc, path in docs)
     product = tensor_product(left, right)
     payload = {"kind": "fuse", "product": product.to_json()}
     try:
@@ -308,25 +309,18 @@ def _cmd_fuse(args) -> tuple[dict, bool]:
 
 def _cmd_snake(args) -> tuple[dict, bool]:
     if args.input is None and args.n is not None:
-        n = args.n
-        s = t = kac_vector(n)
+        n, doc = args.n, {}
     else:
-        payload_in = _read_payload(args.input)
-        if not isinstance(payload_in, dict) or "n" not in payload_in:
+        doc = _unwrap(_read_payload(args.input))
+        if not isinstance(doc, dict) or "n" not in doc:
             raise SchemaError("input: expected an object with an 'n' field")
-        n = payload_in["n"]
+        n = doc["n"]
         if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_N:
             raise SchemaError(f"input.n: expected an integer from 1 to {MAX_N}")
-        s = (
-            vector_from_json(payload_in["s"], path="input.s")
-            if "s" in payload_in
-            else kac_vector(n)
-        )
-        t = (
-            vector_from_json(payload_in["t"], path="input.t")
-            if "t" in payload_in
-            else kac_vector(n)
-        )
+    s, t = (
+        vector_from_json(doc[key], path=f"input.{key}") if key in doc else kac_vector(n)
+        for key in ("s", "t")
+    )
     report = check_snake(s, t, n, args.tol)
     return {"kind": "snake", "report": report.to_json()}, report.overall_pass
 
@@ -337,6 +331,9 @@ def _check_arguments(args) -> None:
         if value is not None and not (math.isfinite(value) and value > 0):
             name = "--" + flag.replace("_", "-")
             raise SchemaError(f"{name}: expected a finite positive number, got {value!r}")
+    seed = getattr(args, "seed", None)
+    if seed is not None and seed < 0:
+        raise SchemaError(f"--seed: expected a non-negative integer, got {seed}")
     cap = {_cmd_sample: MAX_N, _cmd_snake: MAX_N, _cmd_solve: SOLVE_MAX_N}.get(args.func)
     if cap is not None and args.n is not None and not 1 <= args.n <= cap:
         raise SchemaError(f"--n: expected an integer from 1 to {cap}, got {args.n}")

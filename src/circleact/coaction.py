@@ -59,6 +59,15 @@ def kac_vector(n: int) -> np.ndarray:
     return v
 
 
+def _store_square(obj, n: int, keys: tuple) -> None:
+    """Validate the two matrices obj.<keys> as n x n and store them as arrays."""
+    X, Y = (as_matrix(getattr(obj, key), path=key) for key in keys)
+    if X.shape != (n, n) or Y.shape != (n, n):
+        raise DimensionMismatch(f"expected two {n}x{n} matrices, got {X.shape} and {Y.shape}")
+    for key, M in zip(keys, (X, Y)):
+        object.__setattr__(obj, key, M)
+
+
 @dataclass(frozen=True, eq=False)
 class LinearObject:
     """A coaction candidate (A, B) on an n dimensional space."""
@@ -68,14 +77,7 @@ class LinearObject:
     B: np.ndarray
 
     def __post_init__(self):
-        A = as_matrix(self.A, path="A")
-        B = as_matrix(self.B, path="B")
-        if A.shape != (self.n, self.n) or B.shape != (self.n, self.n):
-            raise DimensionMismatch(
-                f"expected two {self.n}x{self.n} matrices, got {A.shape} and {B.shape}"
-            )
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
+        _store_square(self, self.n, ("A", "B"))
 
     def to_json(self) -> dict:
         return {"n": self.n, "A": matrix_to_json(self.A), "B": matrix_to_json(self.B)}
@@ -90,8 +92,7 @@ class LinearObject:
         n = obj["n"]
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise SchemaError(f"{path}.n: expected a positive integer")
-        A = matrix_from_json(obj["A"], path=f"{path}.A")
-        B = matrix_from_json(obj["B"], path=f"{path}.B")
+        A, B = (matrix_from_json(obj[key], path=f"{path}.{key}") for key in ("A", "B"))
         try:
             return cls(n, A, B)
         except DimensionMismatch as exc:
@@ -120,22 +121,13 @@ class ConjugatePair:
 
     def __post_init__(self):
         n = self.object.n
-        C = as_matrix(self.C, path="C")
-        D = as_matrix(self.D, path="D")
-        if C.shape != (n, n) or D.shape != (n, n):
-            raise DimensionMismatch(
-                f"expected two {n}x{n} matrices, got {C.shape} and {D.shape}"
-            )
-        s = kac_vector(n) if self.s is None else as_vector(self.s, path="s")
-        t = kac_vector(n) if self.t is None else as_vector(self.t, path="t")
-        if s.size != n * n:
-            raise DimensionMismatch(f"s: expected length {n * n}, got {s.size}")
-        if t.size != n * n:
-            raise DimensionMismatch(f"t: expected length {n * n}, got {t.size}")
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "t", t)
+        _store_square(self, n, ("C", "D"))
+        for key in ("s", "t"):
+            v = getattr(self, key)
+            v = kac_vector(n) if v is None else as_vector(v, path=key)
+            if v.size != n * n:
+                raise DimensionMismatch(f"{key}: expected length {n * n}, got {v.size}")
+            object.__setattr__(self, key, v)
 
     @property
     def dual_object(self) -> LinearObject:
@@ -156,10 +148,11 @@ class ConjugatePair:
         for key in ("C", "D"):
             if key not in obj:
                 raise SchemaError(f"{path}.{key}: missing")
-        C = matrix_from_json(obj["C"], path=f"{path}.C")
-        D = matrix_from_json(obj["D"], path=f"{path}.D")
-        s = vector_from_json(obj["s"], path=f"{path}.s") if "s" in obj else None
-        t = vector_from_json(obj["t"], path=f"{path}.t") if "t" in obj else None
+        C, D = (matrix_from_json(obj[key], path=f"{path}.{key}") for key in ("C", "D"))
+        s, t = (
+            vector_from_json(obj[key], path=f"{path}.{key}") if key in obj else None
+            for key in ("s", "t")
+        )
         try:
             return cls(base, C, D, s, t)
         except DimensionMismatch as exc:

@@ -16,6 +16,7 @@ certificate is a residual recomputed with plain matrix products.
 
 from __future__ import annotations
 
+import math
 from contextlib import suppress
 from itertools import chain
 
@@ -46,19 +47,18 @@ def as_matrix(data, *, path: str = "matrix") -> np.ndarray:
 
     Rejects non-2-D input and non-finite entries.
     """
-    arr = np.asarray(data, dtype=complex)
-    if arr.ndim != 2:
-        raise DimensionMismatch(f"{path}: expected a 2-D array, got ndim={arr.ndim}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{path}: non-finite entries are not admitted")
-    return arr
+    return _as_array(data, 2, path)
 
 
 def as_vector(data, *, path: str = "vector") -> np.ndarray:
     """Validate and convert to a 1-D complex128 array."""
+    return _as_array(data, 1, path)
+
+
+def _as_array(data, ndim: int, path: str) -> np.ndarray:
     arr = np.asarray(data, dtype=complex)
-    if arr.ndim != 1:
-        raise DimensionMismatch(f"{path}: expected a 1-D array, got ndim={arr.ndim}")
+    if arr.ndim != ndim:
+        raise DimensionMismatch(f"{path}: expected a {ndim}-D array, got ndim={arr.ndim}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{path}: non-finite entries are not admitted")
     return arr
@@ -100,12 +100,12 @@ def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return v.reshape(rows, cols, order="C")
 
 
-def hermitian_eig(H, *, herm_tol: float = 1e-12):
+def hermitian_eig(H):
     """Eigendecomposition of a Hermitian matrix by LAPACK ``eigh``.
 
     Returns (eigenvalues, W) with eigenvalues real and ascending and W
     unitary, H = W @ diag(eigenvalues) @ W*.  Raises NotHermitian when
-    the input deviates from its adjoint by more than herm_tol relative to
+    the input deviates from its adjoint by more than 1e-12 relative to
     max(1, frobenius(H)); the Hermitian part (H + H*)/2 is what gets
     diagonalized.  A LAPACK convergence failure raises NoConvergence.
     """
@@ -113,10 +113,8 @@ def hermitian_eig(H, *, herm_tol: float = 1e-12):
     n = H.shape[0]
     if H.shape[1] != n:
         raise DimensionMismatch(f"expected a square matrix, got {H.shape}")
-    if frobenius(H - adjoint(H)) > herm_tol * max(1.0, frobenius(H)):
-        raise NotHermitian(
-            f"matrix deviates from its adjoint by more than {herm_tol} relative"
-        )
+    if frobenius(H - adjoint(H)) > 1e-12 * max(1.0, frobenius(H)):
+        raise NotHermitian("matrix deviates from its adjoint by more than 1e-12 relative")
     try:
         w, W = np.linalg.eigh((H + adjoint(H)) / 2.0)
     except np.linalg.LinAlgError as exc:
@@ -166,20 +164,7 @@ def matrix_to_json(M: np.ndarray) -> dict:
 
 def matrix_from_json(obj, *, path: str = "matrix") -> np.ndarray:
     """Parse the matrix schema, raising SchemaError with the faulty path."""
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{path}: expected an object, got {type(obj).__name__}")
-    for key in ("rows", "cols", "data"):
-        if key not in obj:
-            raise SchemaError(f"{path}.{key}: missing")
-    rows, cols = obj["rows"], obj["cols"]
-    if not _is_count(rows):
-        raise SchemaError(f"{path}.rows: expected a non-negative integer")
-    if not _is_count(cols):
-        raise SchemaError(f"{path}.cols: expected a non-negative integer")
-    data = obj["data"]
-    if not isinstance(data, list) or len(data) != rows * cols:
-        raise SchemaError(f"{path}.data: expected a list of {rows * cols} entries")
-    return _parse_entries(data, path=f"{path}.data").reshape(rows, cols)
+    return _array_from_json(obj, ("rows", "cols"), path)
 
 
 def vector_to_json(v: np.ndarray) -> dict:
@@ -190,23 +175,29 @@ def vector_to_json(v: np.ndarray) -> dict:
 
 def vector_from_json(obj, *, path: str = "vector") -> np.ndarray:
     """Parse the vector schema, raising SchemaError with the faulty path."""
+    return _array_from_json(obj, ("dim",), path)
+
+
+def _array_from_json(obj, counts: tuple, path: str) -> np.ndarray:
+    """Parse {*counts, "data"} to an array shaped by the counts.
+
+    Each count is a non-negative int (a bool, though an int to Python,
+    is not one), and data is a list of as many entries as their product.
+    """
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: expected an object, got {type(obj).__name__}")
-    for key in ("dim", "data"):
+    for key in (*counts, "data"):
         if key not in obj:
             raise SchemaError(f"{path}.{key}: missing")
-    dim = obj["dim"]
-    if not _is_count(dim):
-        raise SchemaError(f"{path}.dim: expected a non-negative integer")
+    shape = tuple(obj[key] for key in counts)
+    for key, count in zip(counts, shape):
+        if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+            raise SchemaError(f"{path}.{key}: expected a non-negative integer")
+    size = math.prod(shape)
     data = obj["data"]
-    if not isinstance(data, list) or len(data) != dim:
-        raise SchemaError(f"{path}.data: expected a list of {dim} entries")
-    return _parse_entries(data, path=f"{path}.data")
-
-
-def _is_count(x) -> bool:
-    """A non-negative int; a bool, though an int to Python, is not one."""
-    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+    if not isinstance(data, list) or len(data) != size:
+        raise SchemaError(f"{path}.data: expected a list of {size} entries")
+    return _parse_entries(data, path=f"{path}.data").reshape(shape)
 
 
 def _parse_entries(data: list, *, path: str) -> np.ndarray:
@@ -239,11 +230,8 @@ def _parse_complex(entry, *, path: str) -> complex:
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
     ):
         raise SchemaError(f"{path}: expected a [re, im] pair of numbers")
-    try:
+    with suppress(OverflowError):  # an integer too large for a float
         z = complex(float(entry[0]), float(entry[1]))
-    except OverflowError:
-        # An integer too large for a float.
-        raise SchemaError(f"{path}: non-finite entries are not admitted") from None
-    if not (np.isfinite(z.real) and np.isfinite(z.imag)):
-        raise SchemaError(f"{path}: non-finite entries are not admitted")
-    return z
+        if np.isfinite(z.real) and np.isfinite(z.imag):
+            return z
+    raise SchemaError(f"{path}: non-finite entries are not admitted")

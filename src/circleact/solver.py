@@ -197,8 +197,6 @@ class SolverRun:
 
     config: SolverConfig
     outcomes: tuple
-    algorithm: str = ALGORITHM
-    rng: str = RNG_FAMILY
 
     def summary(self) -> dict:
         converged = [o for o in self.outcomes if o.converged]
@@ -217,8 +215,8 @@ class SolverRun:
     def to_json(self) -> dict:
         return {
             "config": self.config.to_json(),
-            "algorithm": self.algorithm,
-            "rng": self.rng,
+            "algorithm": ALGORITHM,
+            "rng": RNG_FAMILY,
             "outcomes": [o.to_json() for o in self.outcomes],
             "summary": self.summary(),
         }
@@ -336,19 +334,20 @@ def sample_classical(n: int, seed: int = 0) -> ConjugatePair:
     return ConjugatePair(LinearObject(n, A, B), A.conj(), B.T)
 
 
-def gradient_check(point, seed: int = 0, step: float = 1e-6, directions: int = 32) -> float:
+def gradient_check(point, seed: int = 0) -> float:
     """Compare the analytic gradient with central differences.
 
-    Perturbs 32 seeded random real coordinates of the packed point and
-    returns the worst deviation, relative where the analytic entry is
-    large and absolute where it is small.
+    Perturbs 32 seeded random real coordinates of the packed point by
+    steps of 1e-6 and returns the worst deviation, relative where the
+    analytic entry is large and absolute where it is small.
     """
+    step = 1e-6
     n = np.shape(point[0])[0]
     x = _pack(point)
     _, G = _residual_and_gradient(point)
     g = _pack(2.0 * G)
     rng = np.random.default_rng(np.random.SeedSequence((seed, n, x.size)))
-    picks = rng.integers(0, x.size, size=directions)
+    picks = rng.integers(0, x.size, size=32)
     worst = 0.0
     for j in picks:
         e = np.zeros_like(x)

@@ -315,17 +315,21 @@ def test_criterion_6_numerical_hygiene():
 
     # CLI golden files byte-stable under --reproducible
     golden_ok = True
-    commands = {
-        "check_identity.json": [
-            "check", "--input", str(GOLDEN / "identity_object.json"), "--reproducible",
-        ],
-        "snake_n2.json": ["snake", "--n", "2", "--reproducible"],
+    identity = str(GOLDEN / "identity_object.json")
+    conjugated = (GOLDEN / "conjugate_identity.json").read_text(encoding="utf-8")
+    commands = {  # golden file: (argv, text piped to stdin)
+        "check_identity.json": (["check", "--input", identity], None),
+        "snake_n2.json": (["snake", "--n", "2"], None),
+        "conjugate_identity.json": (["conjugate", "--input", identity], None),
+        "certify_identity.json": (["certify"], conjugated),
+        "fuse_identity.json": (["fuse", identity, identity], None),
     }
-    for fname, argv in commands.items():
+    for fname, (argv, stdin) in commands.items():
         outs = []
         for _ in range(2):
             proc = subprocess.run(
-                [sys.executable, "-m", "circleact.cli", *argv],
+                [sys.executable, "-m", "circleact.cli", *argv, "--reproducible"],
+                input=stdin,
                 capture_output=True,
                 text=True,
             )

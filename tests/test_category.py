@@ -359,6 +359,26 @@ class TestDecomposeRoutes:
         assert len(calls) == 1
         assert [leaf.n for leaf, _ in decomp.summands] == [2]
 
+    @pytest.mark.parametrize("m", [9, 16, 25])
+    def test_irreducible_object_computes_its_commutant_once(self, monkeypatch, m):
+        # A = UP, B = U(I - P) with U a random unitary and P a projection
+        # of rank m // 2: valid, not normal, and irreducible, so nothing
+        # splits and the one leaf is X with the End(X) already computed.
+        rng = np.random.default_rng(m)
+        U, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+        P = np.diag([1.0] * (m // 2) + [0.0] * (m - m // 2))
+        X = LinearObject(m, U @ P, U @ (np.eye(m) - P))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return morphism_space(*args)
+
+        monkeypatch.setattr("circleact.category.morphism_space", counted)
+        decomp = decompose(X, seed=0)
+        assert [leaf.n for leaf, _ in decomp.summands] == [m]
+        assert len(calls) == 1
+
     def test_classical_route_deterministic_at_size_64(self, monkeypatch):
         Z = tensor_product(sample_classical(8, seed=1).object, sample_classical(8, seed=2).object)
         refuse_commutant_route(monkeypatch)

@@ -50,6 +50,31 @@ class TestGolden:
         assert code == 0
         assert out == (GOLDEN / "snake_n2.json").read_text(encoding="utf-8")
 
+    def test_conjugate_matches_committed_bytes(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            ["conjugate", "--input", str(GOLDEN / "identity_object.json"), "--reproducible"],
+        )
+        assert code == 0
+        assert out == (GOLDEN / "conjugate_identity.json").read_text(encoding="utf-8")
+
+    def test_certify_of_conjugate_output_matches_committed_bytes(self, capsys, monkeypatch):
+        _, conjugated, _ = run_cli(
+            capsys,
+            ["conjugate", "--input", str(GOLDEN / "identity_object.json"), "--reproducible"],
+        )
+        monkeypatch.setattr("sys.stdin", io.StringIO(conjugated))
+        code, out, _ = run_cli(capsys, ["certify", "--reproducible"])
+        assert code == 0
+        assert out == (GOLDEN / "certify_identity.json").read_text(encoding="utf-8")
+        assert len(json.loads(out)["report"]["checks"]) == 51
+
+    def test_fuse_matches_committed_bytes(self, capsys):
+        identity = str(GOLDEN / "identity_object.json")
+        code, out, _ = run_cli(capsys, ["fuse", identity, identity, "--reproducible"])
+        assert code == 0
+        assert out == (GOLDEN / "fuse_identity.json").read_text(encoding="utf-8")
+
     def test_reproducible_runs_are_byte_identical(self, capsys, tmp_path):
         argv = ["sample", "--n", "2", "--seed", "5", "--reproducible"]
         _, out1, _ = run_cli(capsys, argv)
@@ -146,6 +171,37 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert field in err and str(MAX_N) in err
+
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
+            (["sample", "--n", "2"], None),
+            (["solve", "--n", "1", "--restarts", "1"], None),
+            (["fuse", "obj", "obj"], None),
+            (["decompose", "--input", "obj"], "valid"),
+            (["decompose", "--input", "obj"], "shift"),
+            (["certify", "--input", "pair"], "valid"),
+            (["certify", "--input", "pair"], "broken"),
+        ],
+    )
+    def test_negative_seed_exits_two_naming_flag(self, capsys, tmp_path, argv, doc):
+        pair = sample_classical(2, seed=0).to_json()
+        broken = json.loads(json.dumps(pair))
+        broken["C"]["data"][0][0] += 0.25
+        docs = {
+            "obj": (SHIFT2 if doc == "shift" else IDENTITY2).to_json(),
+            "pair": broken if doc == "broken" else pair,
+        }
+        argv = [write_json(tmp_path / f"{a}.json", docs[a]) if a in docs else a for a in argv]
+        # The same input passes or fails on its own merits at seed 0.
+        assert run_cli(capsys, argv)[0] == (1 if doc in ("shift", "broken") else 0)
+        code, out, err = run_cli(capsys, argv + ["--seed", "-1"])
+        assert (code, out) == (2, "")
+        assert err == "error: --seed: expected a non-negative integer, got -1\n"
+
+    def test_large_seed_is_accepted(self, capsys):
+        code, _, _ = run_cli(capsys, ["sample", "--n", "2", "--seed", str(2**80)])
+        assert code == 0
 
     def test_deeply_nested_json_exits_two(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("[" * 200000))
@@ -700,3 +756,92 @@ class TestMalformedInput:
         assert (code, out.getvalue()) == (2, ""), (doc, err.getvalue())
         assert err.getvalue().startswith("error: input"), (doc, err.getvalue())
         assert err.getvalue().count("\n") == 1
+
+
+# A placeholder that ``reader_input`` writes as the literal 1e999, which
+# json.loads reads as inf.
+NON_FINITE = "NON-FINITE"
+PAIR1 = sample_classical(1, seed=0).to_json()
+OBJECT1 = sample_classical(1, seed=1).object.to_json()
+WIDE = {"rows": 1, "cols": 2, "data": [[0.0, 0.0], [0.0, 0.0]]}
+LONG = {"dim": 2, "data": [[1.0, 0.0], [0.0, 0.0]]}
+
+# (command, location broken, value put there, the whole stderr).  check
+# reads an object document (and a matrix one at input.A), certify a pair
+# document (and vector ones at input.s and input.t); snake has its own
+# rule for "n".
+READER_MESSAGES = [
+    ("check", ("A",), [1.0], "input.A: expected an object, got list"),
+    ("check", ("A", "cols"), REMOVE, "input.A.cols: missing"),
+    ("check", ("A", "rows"), True, "input.A.rows: expected a non-negative integer"),
+    ("check", ("A", "cols"), -1, "input.A.cols: expected a non-negative integer"),
+    ("check", ("B", "data"), [], "input.B.data: expected a list of 1 entries"),
+    ("check", ("A", "data", 0), [1.0], "input.A.data[0]: expected a [re, im] pair of numbers"),
+    ("check", ("B", "data", 0, 1), NON_FINITE, "input.B.data[0]: non-finite entries are not admitted"),
+    ("certify", ("s",), "x", "input.s: expected an object, got str"),
+    ("certify", ("t", "dim"), REMOVE, "input.t.dim: missing"),
+    ("certify", ("s", "dim"), False, "input.s.dim: expected a non-negative integer"),
+    ("certify", ("t", "dim"), -2, "input.t.dim: expected a non-negative integer"),
+    ("certify", ("s", "data"), LONG["data"], "input.s.data: expected a list of 1 entries"),
+    ("certify", ("s", "data", 0), None, "input.s.data[0]: expected a [re, im] pair of numbers"),
+    ("certify", ("t", "data", 0, 0), NON_FINITE, "input.t.data[0]: non-finite entries are not admitted"),
+    ("check", (), [], "input: expected an object"),
+    ("check", ("B",), REMOVE, "input.B: missing"),
+    ("check", ("n",), True, "input.n: expected a positive integer"),
+    ("check", ("n",), -1, "input.n: expected a positive integer"),
+    ("check", ("A",), WIDE, "input: expected two 1x1 matrices, got (1, 2) and (1, 1)"),
+    ("check", ("n",), 2, "input: expected two 2x2 matrices, got (1, 1) and (1, 1)"),
+    ("certify", (), "x", "input: expected an object"),
+    ("certify", ("D",), REMOVE, "input.D: missing"),
+    ("certify", ("n",), False, "input.n: expected a positive integer"),
+    ("certify", ("A",), WIDE, "input: expected two 1x1 matrices, got (1, 2) and (1, 1)"),
+    ("certify", ("D",), WIDE, "input: expected two 1x1 matrices, got (1, 1) and (1, 2)"),
+    ("certify", ("s",), LONG, "input: s: expected length 1, got 2"),
+    ("certify", ("t",), LONG, "input: t: expected length 1, got 2"),
+    ("snake", (), [], "input: expected an object with an 'n' field"),
+    ("snake", ("n",), REMOVE, "input: expected an object with an 'n' field"),
+    ("snake", ("n",), True, f"input.n: expected an integer from 1 to {MAX_N}"),
+    ("snake", ("s", "dim"), -1, "input.s.dim: expected a non-negative integer"),
+    ("snake", ("t", "data", 0), None, "input.t.data[0]: expected a [re, im] pair of numbers"),
+    ("snake", ("s",), LONG, "pairing vectors must have length 1"),
+]
+
+
+def reader_input(tmp_path, command, where, value, wrapped=False):
+    """The path of the command's document broken at ``where``."""
+    doc = replaced(OBJECT1 if command == "check" else PAIR1, where, value)
+    if wrapped:
+        doc = {"kind": "sample", "pair": doc}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc).replace(f'"{NON_FINITE}"', "1e999"), encoding="utf-8")
+    return str(path)
+
+
+class TestReaderMessages:
+    @pytest.mark.parametrize("command, where, value, message", READER_MESSAGES)
+    def test_exact_message(self, capsys, tmp_path, command, where, value, message):
+        path = reader_input(tmp_path, command, where, value)
+        assert run_cli(capsys, [command, "--input", path]) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command, where, value, message", READER_MESSAGES)
+    def test_envelope_gives_the_same_message(self, capsys, tmp_path, command, where, value, message):
+        path = reader_input(tmp_path, command, where, value, wrapped=True)
+        assert run_cli(capsys, [command, "--input", path]) == (2, "", f"error: {message}\n")
+
+
+class TestSnakeInput:
+    def test_sample_envelope_feeds_snake(self, capsys, monkeypatch):
+        _, sampled, _ = run_cli(capsys, ["sample", "--n", "3", "--seed", "1"])
+        monkeypatch.setattr("sys.stdin", io.StringIO(sampled))
+        code, out, _ = run_cli(capsys, ["snake", "--reproducible"])
+        bare = json.dumps(json.loads(sampled)["pair"])
+        monkeypatch.setattr("sys.stdin", io.StringIO(bare))
+        assert run_cli(capsys, ["snake", "--reproducible"]) == (0, out, "")
+        assert code == 0
+
+    def test_snake_output_is_not_snake_input(self, capsys, monkeypatch):
+        _, report, _ = run_cli(capsys, ["snake", "--n", "2"])
+        monkeypatch.setattr("sys.stdin", io.StringIO(report))
+        code, out, err = run_cli(capsys, ["snake"])
+        assert (code, out) == (2, "")
+        assert err == "error: input: a 'snake' output carries no object to re-read\n"

@@ -74,6 +74,14 @@ class TestTypes:
         with pytest.raises(DimensionMismatch):
             ConjugatePair(rotation(1.0), np.eye(1), np.zeros((1, 1)), s=np.ones(2))
 
+    def test_pair_checks_each_pairing_vector_whole_before_the_next(self):
+        # s too long and t non-finite: s is checked (converted, then its
+        # length) before t is looked at.
+        with pytest.raises(DimensionMismatch, match="^s: expected length 1, got 2$"):
+            ConjugatePair(rotation(1.0), np.eye(1), np.zeros((1, 1)), np.ones(2), [np.nan])
+        with pytest.raises(ValueError, match="^t: non-finite"):
+            ConjugatePair(rotation(1.0), np.eye(1), np.zeros((1, 1)), np.ones(1), [np.nan])
+
     def test_object_json_round_trip(self):
         obj = sample_classical(3, seed=11).object
         back = LinearObject.from_json(obj.to_json())
