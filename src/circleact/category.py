@@ -19,17 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    DimensionMismatch,
-    adjoint,
-    as_vector,
-    frobenius,
-    kron,
-    matrix_to_json,
-    nullspace_basis,
-    unvec,
-)
-from .coaction import CertificateReport, CheckResult, LinearObject, check_homomorphism
+from .linalg import adjoint, frobenius, kron, matrix_to_json, nullspace_basis, unvec
+from .coaction import CertificateReport, CheckResult, LinearObject, _as_pairing, check_homomorphism
 from .certify import (
     AmbiguousSlot,
     ConstraintViolation,
@@ -233,10 +224,8 @@ def check_snake(s, t, n: int, tol: float = 1e-9) -> CertificateReport:
     vectors pass exactly; any rescaling fails, which is the point of the
     normalization.
     """
-    s = as_vector(s, path="s")
-    t = as_vector(t, path="t")
-    if s.size != n * n or t.size != n * n:
-        raise DimensionMismatch(f"pairing vectors must have length {n * n}")
+    s = _as_pairing(s, n, "s")
+    t = _as_pairing(t, n, "t")
     S = unvec(s, n, n)
     T = unvec(t, n, n)
     I = np.eye(n, dtype=complex)

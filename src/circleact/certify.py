@@ -14,6 +14,8 @@ fall out in order and each step can be certified numerically:
 
 ``classical_form`` performs step 5 constructively and is the bridge to
 the classification of these coactions by classical circle symmetries.
+Each public step refuses input failing its preconditions, then runs a
+private core; the CLI calls each core once its own checks of them pass.
 """
 
 from __future__ import annotations
@@ -75,6 +77,10 @@ def polar_data(pair: ConjugatePair, tol: float = 1e-9) -> PolarData:
     report rather than assumed.
     """
     _require_valid_pair(pair, tol)
+    return _polar_data(pair, tol)
+
+
+def _polar_data(pair: ConjugatePair, tol: float) -> PolarData:
     A, B, C, D = pair.object.A, pair.object.B, pair.C, pair.D
     n = pair.object.n
     I = np.eye(n, dtype=complex)
@@ -108,12 +114,19 @@ def certify_duality(pair: ConjugatePair, tol: float = 1e-9) -> CertificateReport
     here on such a pair signals a tolerance inconsistency and surfaces
     as a failing report, never silently.
     """
-    n = pair.object.n
-    kv = kac_vector(n)
-    if np.linalg.norm(pair.s - kv) > 1e-12 or np.linalg.norm(pair.t - kv) > 1e-12:
+    if not _standard_pairing(pair):
         raise ConstraintViolation("certify_duality requires the standard pairing vectors")
     _require_valid_pair(pair, tol)
-    scale = float(tol * np.sqrt(n))
+    return _certify_duality(pair, tol)
+
+
+def _standard_pairing(pair: ConjugatePair) -> bool:
+    kv = kac_vector(pair.object.n)
+    return bool(np.linalg.norm(pair.s - kv) <= 1e-12 and np.linalg.norm(pair.t - kv) <= 1e-12)
+
+
+def _certify_duality(pair: ConjugatePair, tol: float) -> CertificateReport:
+    scale = float(tol * np.sqrt(pair.object.n))
     checks = (
         CheckResult("C-conj(A)", frobenius(pair.C - pair.object.A.conj()), scale),
         CheckResult("D-transp(B)", frobenius(pair.D - pair.object.B.T), scale),
@@ -204,7 +217,10 @@ def classical_form(
     certify_commutativity(obj, tol).require(
         "object fails the commutativity residuals", ConstraintViolation
     )
+    return _classical_form(obj, tol, seed)
 
+
+def _classical_form(obj: LinearObject, tol: float, seed: int) -> ClassicalDecomposition:
     A, B = obj.A, obj.B
     n = obj.n
     gens = [

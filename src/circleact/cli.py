@@ -33,10 +33,8 @@ from datetime import datetime, timezone
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
-import numpy as np
-
 from . import __version__
-from .linalg import NoConvergence, SchemaError, vector_from_json
+from .linalg import DimensionMismatch, NoConvergence, SchemaError, vector_from_json
 from .coaction import (
     CertificateReport,
     CheckResult,
@@ -51,12 +49,13 @@ from .certify import (
     AmbiguousSlot,
     ConstraintViolation,
     NotSimultaneouslyDiagonalizable,
+    _certify_duality,
+    _classical_form,
+    _polar_data,
+    _standard_pairing,
     canonical_dual,
     certify_commutativity,
-    certify_duality,
-    classical_form,
     is_partial_isometry,
-    polar_data,
 )
 from .category import DecompositionFailure, check_snake, decompose, tensor_product
 from .solver import SOLVE_MAX_N, SolverConfig, sample_classical, solve
@@ -189,10 +188,10 @@ def _cmd_check(args) -> tuple[dict, bool]:
 
 def _cmd_conjugate(args) -> tuple[dict, bool]:
     obj = LinearObject.from_json(_unwrap(_read_payload(args.input)), path="input")
-    hom = check_homomorphism(obj, args.tol)
-    if not hom.overall_pass:
-        return {"kind": "conjugate", "report": hom.to_json()}, False
-    pair = canonical_dual(obj, args.tol)
+    try:
+        pair = canonical_dual(obj, args.tol)
+    except ConstraintViolation:  # the homomorphism equations fail: report them
+        return {"kind": "conjugate", "report": check_homomorphism(obj, args.tol).to_json()}, False
     matrix_report = check_conjugate_matrix(pair, args.tol)
     raw_report = check_conjugate_raw(pair, args.tol)
     payload = {
@@ -220,10 +219,9 @@ def _cmd_certify(args) -> tuple[dict, bool]:
     for name, M in (("A", pair.object.A), ("B", pair.object.B), ("C", pair.C), ("D", pair.D)):
         _, res = is_partial_isometry(M, tol)
         checks.append(CheckResult(f"isometry:{name}", res, tol))
-    checks += _prefixed("polar", polar_data(pair, tol).report)
-    kac = kac_vector(pair.object.n)
-    if np.linalg.norm(pair.s - kac) <= 1e-12 and np.linalg.norm(pair.t - kac) <= 1e-12:
-        checks += _prefixed("canonical", certify_duality(pair, tol))
+    checks += _prefixed("polar", _polar_data(pair, tol).report)
+    if _standard_pairing(pair):
+        checks += _prefixed("canonical", _certify_duality(pair, tol))
     else:
         payload["canonical_skipped"] = "non-standard pairing vectors"
     checks += _prefixed("comm", certify_commutativity(pair.object, tol))
@@ -233,8 +231,8 @@ def _cmd_certify(args) -> tuple[dict, bool]:
         return payload, False
 
     try:
-        classical = classical_form(pair.object, tol, seed=args.seed)
-    except (NotSimultaneouslyDiagonalizable, AmbiguousSlot, ConstraintViolation) as exc:
+        classical = _classical_form(pair.object, tol, args.seed)
+    except (NotSimultaneouslyDiagonalizable, AmbiguousSlot) as exc:
         payload["error"] = str(exc)
         return payload, False
     payload["classical"] = classical.to_json()
@@ -321,7 +319,10 @@ def _cmd_snake(args) -> tuple[dict, bool]:
         vector_from_json(doc[key], path=f"input.{key}") if key in doc else kac_vector(n)
         for key in ("s", "t")
     )
-    report = check_snake(s, t, n, args.tol)
+    try:
+        report = check_snake(s, t, n, args.tol)
+    except DimensionMismatch as exc:  # s or t of a length other than n^2
+        raise SchemaError(f"input: {exc}") from exc
     return {"kind": "snake", "report": report.to_json()}, report.overall_pass
 
 

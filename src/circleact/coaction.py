@@ -59,6 +59,14 @@ def kac_vector(n: int) -> np.ndarray:
     return v
 
 
+def _as_pairing(v, n: int, key: str) -> np.ndarray:
+    """Validate and convert the pairing vector ``key``: a vector of length n^2."""
+    v = as_vector(v, path=key)
+    if v.size != n * n:
+        raise DimensionMismatch(f"{key}: expected length {n * n}, got {v.size}")
+    return v
+
+
 def _store_square(obj, n: int, keys: tuple) -> None:
     """Validate the two matrices obj.<keys> as n x n and store them as arrays."""
     X, Y = (as_matrix(getattr(obj, key), path=key) for key in keys)
@@ -124,9 +132,7 @@ class ConjugatePair:
         _store_square(self, n, ("C", "D"))
         for key in ("s", "t"):
             v = getattr(self, key)
-            v = kac_vector(n) if v is None else as_vector(v, path=key)
-            if v.size != n * n:
-                raise DimensionMismatch(f"{key}: expected length {n * n}, got {v.size}")
+            v = kac_vector(n) if v is None else _as_pairing(v, n, key)
             object.__setattr__(self, key, v)
 
     @property

@@ -1,7 +1,7 @@
 """Dense complex matrix kernel.
 
-Everything downstream works with square complex matrices of modest size
-(n <= 16 or so).  Matrices are plain numpy arrays of dtype complex128;
+Everything downstream works with dense square complex matrices of up to
+a few hundred rows.  Matrices are plain numpy arrays of dtype complex128;
 helpers here add the validation, the eigensolver, the nullspace
 extraction, and the JSON codecs that the rest of the package relies on.
 
@@ -193,6 +193,8 @@ def _array_from_json(obj, counts: tuple, path: str) -> np.ndarray:
     for key, count in zip(counts, shape):
         if not isinstance(count, int) or isinstance(count, bool) or count < 0:
             raise SchemaError(f"{path}.{key}: expected a non-negative integer")
+        if count > np.iinfo(np.intp).max // 16:  # numpy's bound on a complex128 axis
+            raise SchemaError(f"{path}.{key}: {count} is too large for an array")
     size = math.prod(shape)
     data = obj["data"]
     if not isinstance(data, list) or len(data) != size:

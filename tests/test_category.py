@@ -16,6 +16,7 @@ from circleact.category import (
 )
 from circleact.certify import canonical_dual, classical_form, split_hermitian
 from circleact.coaction import (
+    ConjugatePair,
     LinearObject,
     check_homomorphism,
     compose_image,
@@ -432,3 +433,11 @@ class TestCheckSnake:
     def test_wrong_length_rejected(self):
         with pytest.raises(DimensionMismatch):
             check_snake(kac_vector(2), kac_vector(3), 3)
+
+    def test_wrong_length_message_is_the_pairs(self):
+        # check_snake and ConjugatePair state the pairing-vector rule once.
+        message = "^t: expected length 1, got 4$"
+        with pytest.raises(DimensionMismatch, match=message):
+            check_snake(kac_vector(1), kac_vector(2), 1)
+        with pytest.raises(DimensionMismatch, match=message):
+            ConjugatePair(rotation(1.0), np.eye(1), np.zeros((1, 1)), t=kac_vector(2))

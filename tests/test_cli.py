@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circleact import cli
+from circleact import certify, cli, coaction
+from circleact.certify import ConstraintViolation, certify_duality
 from circleact.cli import MAX_N, main
-from circleact.coaction import LinearObject
+from circleact.coaction import ConjugatePair, LinearObject
 from circleact.linalg import NoConvergence
 from circleact.solver import SOLVE_MAX_N, SolverConfig, sample_classical
 
@@ -233,7 +234,7 @@ class TestExitCodes:
         def fail(*_args, **_kwargs):
             raise NoConvergence("eigh did not converge")
 
-        monkeypatch.setattr("circleact.cli.classical_form", fail)
+        monkeypatch.setattr("circleact.cli._classical_form", fail)
         path = write_json(tmp_path / "pair.json", sample_classical(2, seed=0).to_json())
         code, _, err = run_cli(capsys, ["certify", "--input", path])
         assert code == 1
@@ -765,6 +766,8 @@ PAIR1 = sample_classical(1, seed=0).to_json()
 OBJECT1 = sample_classical(1, seed=1).object.to_json()
 WIDE = {"rows": 1, "cols": 2, "data": [[0.0, 0.0], [0.0, 0.0]]}
 LONG = {"dim": 2, "data": [[1.0, 0.0], [0.0, 0.0]]}
+# Counts that numpy cannot shape a complex array by, even with no entries.
+HUGE, BIG = ({"rows": 0, "cols": cols, "data": []} for cols in (10**30, 2**62))
 
 # (command, location broken, value put there, the whole stderr).  check
 # reads an object document (and a matrix one at input.A), certify a pair
@@ -803,7 +806,10 @@ READER_MESSAGES = [
     ("snake", ("n",), True, f"input.n: expected an integer from 1 to {MAX_N}"),
     ("snake", ("s", "dim"), -1, "input.s.dim: expected a non-negative integer"),
     ("snake", ("t", "data", 0), None, "input.t.data[0]: expected a [re, im] pair of numbers"),
-    ("snake", ("s",), LONG, "pairing vectors must have length 1"),
+    ("snake", ("s",), LONG, "input: s: expected length 1, got 2"),
+    ("check", ("A",), HUGE, f"input.A.cols: {10**30} is too large for an array"),
+    ("check", ("A",), BIG, f"input.A.cols: {2**62} is too large for an array"),
+    ("certify", ("s", "dim"), 10**30, f"input.s.dim: {10**30} is too large for an array"),
 ]
 
 
@@ -845,3 +851,87 @@ class TestSnakeInput:
         code, out, err = run_cli(capsys, ["snake"])
         assert (code, out) == (2, "")
         assert err == "error: input: a 'snake' output carries no object to re-read\n"
+
+
+def certify_pair(capsys, tmp_path, pair):
+    path = write_json(tmp_path / "pair.json", pair.to_json())
+    code, out, err = run_cli(capsys, ["certify", "--input", path])
+    assert err == ""
+    payload = json.loads(out)
+    return code, payload, {c["name"] for c in payload["report"]["checks"]}
+
+
+class TestCanonicalBoundary:
+    """certify runs the canonical step exactly on the pairs certify_duality accepts."""
+
+    CANONICAL = {"canonical:C-conj(A)", "canonical:D-transp(B)"}
+
+    def with_s(self, scale=1.0, shift=0.0):
+        """A sampled pair whose s is scaled, then has one entry moved by shift."""
+        pair = sample_classical(3, seed=4)
+        s = scale * pair.s
+        s[0] += shift
+        return ConjugatePair(pair.object, pair.C, pair.D, s=s, t=pair.t)
+
+    def test_scaled_s_skips_the_canonical_step(self, capsys, tmp_path):
+        code, payload, names = certify_pair(capsys, tmp_path, self.with_s(scale=2.0))
+        assert code == 0
+        assert payload["canonical_skipped"] == "non-standard pairing vectors"
+        assert "classical" in payload
+        assert not any(name.startswith("canonical:") for name in names)
+
+    def test_s_within_the_standard_threshold_is_canonical(self, capsys, tmp_path):
+        code, payload, names = certify_pair(capsys, tmp_path, self.with_s(shift=1e-13))
+        assert code == 0
+        assert "canonical_skipped" not in payload
+        assert self.CANONICAL <= names
+
+    def test_s_beyond_the_standard_threshold_is_skipped_and_refused(self, capsys, tmp_path):
+        pair = self.with_s(shift=1e-11)
+        code, payload, names = certify_pair(capsys, tmp_path, pair)
+        assert code == 0
+        assert payload["canonical_skipped"] == "non-standard pairing vectors"
+        assert not names & self.CANONICAL
+        with pytest.raises(ConstraintViolation, match="requires the standard pairing vectors"):
+            certify_duality(pair)
+
+
+def count_calls(monkeypatch, functions):
+    """Count calls of each function through every circleact module that binds it."""
+    counts = dict.fromkeys(functions, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "circleact"]:
+        for name, fn in functions.items():
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted(name, fn))
+    return counts
+
+
+class TestEachCheckOnce:
+    """One certify or conjugate op evaluates each check once, whatever imports it."""
+
+    FUNCTIONS = {
+        "check_homomorphism": coaction.check_homomorphism,
+        "check_conjugate_matrix": coaction.check_conjugate_matrix,
+        "check_conjugate_raw": coaction.check_conjugate_raw,
+        "certify_commutativity": certify.certify_commutativity,
+    }
+
+    def test_certify(self, capsys, monkeypatch, tmp_path):
+        counts = count_calls(monkeypatch, self.FUNCTIONS)
+        code, payload, _ = certify_pair(capsys, tmp_path, sample_classical(4, seed=2))
+        assert code == 0 and "classical" in payload
+        assert counts == dict.fromkeys(self.FUNCTIONS, 1)
+
+    def test_conjugate(self, capsys, monkeypatch, tmp_path):
+        counts = count_calls(monkeypatch, self.FUNCTIONS)
+        path = write_json(tmp_path / "obj.json", sample_classical(4, seed=2).object.to_json())
+        assert run_cli(capsys, ["conjugate", "--input", path])[0] == 0
+        assert counts == {**dict.fromkeys(self.FUNCTIONS, 1), "certify_commutativity": 0}
