@@ -295,7 +295,7 @@ def split_hermitian(family, tol: float, rng) -> list[np.ndarray]:
         H = np.tensordot(rng.standard_normal(len(family)), family, axes=1)
         # Looked up through this module's global, so a wrapper installed on
         # circleact.certify.hermitian_eig (perfbench's tracer) sees both callers.
-        w, U = hermitian_eig((H + adjoint(H)) / 2.0)
+        w, U = hermitian_eig(H)
         scale = max(1.0, float(np.max(np.abs(w))))
         clusters = split_by_gaps(w, gap_tol * scale)
         if len(clusters) > 1:

@@ -9,7 +9,10 @@ one evaluation of the penalty and its gradient, and no Jacobian is
 formed.  The analytic gradient follows the product rule through each
 constraint term (plain, adjoint, transpose, or conjugate occurrence of
 a variable pulls the factor out in a different orientation) and is
-validated against finite differences by ``gradient_check``.
+validated against finite differences by ``gradient_check``.  Per n, the
+evaluation is compiled on first use into index arrays that gather into
+preallocated buffers, so an iteration allocates no n^2-sized array; its
+bits equal those of the plain gather kernel the tests keep as oracle.
 
 The point of the experiment: every converged pair turns out to be
 commutative and splits into rotation and reflection characters.  The
@@ -20,6 +23,8 @@ commutativity residuals so a counterexample would surface immediately.
 from __future__ import annotations
 
 import math
+import operator
+import threading
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
 
@@ -47,13 +52,6 @@ SOLVE_MAX_N = 64
 
 ALGORITHM = f"L-BFGS (memory {_MEMORY}) with Armijo backtracking"
 RNG_FAMILY = "numpy PCG64"
-
-def _oriented(M):
-    """The four orientations of a stack of matrices, code-major: matrix v
-    under occurrence code c is entry 4 * c + v."""
-    Mc = M.conj()
-    return np.concatenate((M, Mc, M.transpose(0, 2, 1), Mc.transpose(0, 2, 1)))
-
 
 def _kernel_indices(cons):
     """Index arrays of the stacked kernel, built once from a constraint table.
@@ -87,30 +85,62 @@ def _kernel_indices(cons):
 
 
 _TERMS, _PIECES, _IDENTITY = _kernel_indices(_CONSTRAINTS)
+_local = threading.local()  # this thread's workspaces, least recently used first
 
 
-def _sum_of_products(S, index):
-    """Row k: sum over j of S[left[k, j]] @ S[right[k, j]], as one matmul
-    of the left factors side by side with the right factors stacked."""
-    left, right = index
-    rows, width = left.shape
-    n = S.shape[1]
-    L = S[left].transpose(0, 2, 1, 3).reshape(rows, n, width * n)
-    return L @ S[right].reshape(rows, width * n, n)
+class _Workspace:
+    """The kernel at one n and one constraint table.  A stack holds every
+    matrix an index pair names: X, conj X, X^T, X^H, the zero, then F,
+    conj F, F^T, F^H.  Each sum of products gathers matrix rows of it into
+    left factors side by side and right factors stacked, then matmuls them
+    into F's place in the stack or into G."""
+
+    def __init__(self, n, tables):
+        self.tables = terms, pieces, identity = tables
+        m, i = len(terms[0]), np.arange(n)
+        self.stack = np.zeros((17 + 4 * m, n, n), dtype=complex)
+        self.X = self.stack[:16].reshape(2, 2, 4, n, n)  # [transposed, conjugated]
+        self.Fs = self.stack[17:].reshape(2, 2, m, n, n)
+        self.F, self.G = self.Fs[0, 0], np.empty((4, n, n), dtype=complex)
+        self.flat, rows = self.stack.reshape(-1), self.stack.reshape((17 + 4 * m) * n, n)
+        self.diagonal = ((17 + identity[:, None]) * n * n + (n + 1) * i).ravel()  # F_c with -I
+        self.products = []
+        for (left, right), out in ((terms, self.F), (pieces, self.G)):
+            k, wn = len(left), left.shape[1] * n
+            L, R = np.empty((k, n, wn), dtype=complex), np.empty((k, wn, n), dtype=complex)
+            # L[k, i, j*n:(j+1)*n] is row i of S[left[k, j]]; R[k, j*n + i] that of S[right[k, j]].
+            self.products.append((rows.take, (n * left[:, None, :] + i[:, None]).ravel(),
+                                  (n * right[:, :, None] + i).ravel(), L.reshape(k * wn, n),
+                                  R.reshape(k * wn, n), L, R, out))
+
+    @staticmethod
+    def multiply(take, left, right, L_rows, R_rows, L, R, out):
+        take(left, 0, L_rows, "clip")  # under the default mode "raise", numpy buffers the output
+        take(right, 0, R_rows, "clip")
+        np.matmul(L, R, out=out)
 
 
 def _constraints(X):
-    """Occurrence stack with the zero, and the 20 constraints, at X."""
-    n = X.shape[1]
-    O = np.concatenate((_oriented(X), np.zeros((1, n, n))))
-    F = _sum_of_products(O, _TERMS)
-    F[_IDENTITY] -= np.eye(n)
-    return O, F
+    """This thread's workspace at X's n, filled up to the 20 constraints at X.
+    Rebuilt when the table is replaced; four n are kept (~20 MB at n = 64)."""
+    n, spaces = X.shape[1], _local.__dict__.setdefault("spaces", {})
+    w = spaces.pop(n, None)
+    if w is None or any(map(operator.is_not, w.tables, (_TERMS, _PIECES, _IDENTITY))):
+        w = _Workspace(n, (_TERMS, _PIECES, _IDENTITY))
+    spaces[n] = w
+    if len(spaces) > 4:
+        del spaces[next(iter(spaces))]
+    np.copyto(w.X[0, 0], X)
+    np.conjugate(X, out=w.X[0, 1])
+    np.copyto(w.X[1], w.X[0].transpose(0, 1, 3, 2))
+    w.multiply(*w.products[0])
+    w.flat[w.diagonal] -= 1
+    return w
 
 
 def residual(A, B, C, D) -> float:
     """Penalty at a point: sum of squared Frobenius norms, 20 terms."""
-    _, F = _constraints(np.asarray((A, B, C, D), dtype=complex))
+    F = _constraints(np.asarray((A, B, C, D), dtype=complex)).F
     return float(np.vdot(F, F).real)
 
 
@@ -122,14 +152,17 @@ def gradient(A, B, C, D):
     imaginary parts.
     """
     _, G = _residual_and_gradient((A, B, C, D))
-    return tuple(G)
+    return tuple(G.copy())
 
 
 def _residual_and_gradient(mats):
-    """Penalty and gradient stack (4, n, n) at a point."""
-    O, F = _constraints(np.asarray(mats, dtype=complex))
-    G = _sum_of_products(np.concatenate((O, _oriented(F))), _PIECES)
-    return float(np.vdot(F, F).real), G
+    """Penalty and gradient stack (4, n, n) at a point.  The stack is a
+    buffer that the next call at the same n in this thread overwrites."""
+    w = _constraints(np.asarray(mats, dtype=complex))
+    np.conjugate(w.F, out=w.Fs[0, 1])
+    np.copyto(w.Fs[1], w.Fs[0].transpose(0, 1, 3, 2))
+    w.multiply(*w.products[1])
+    return float(np.vdot(w.F, w.F).real), w.G
 
 
 def _pack(mats) -> np.ndarray:
@@ -230,28 +263,29 @@ def _minimize(x0, n, max_iters, stop_f, grad_tol, step_init):
     packed point, its penalty, the accepted steps and the stop reason.
     """
     x = _unpack(x0, n).reshape(-1).view(np.float64)
+    xn, g, gn, q, t = np.empty((5, x.size))
     f, G = _residual_and_gradient(x.view(complex).reshape(4, n, n))
-    g = 2.0 * G.reshape(-1).view(np.float64)
-    S, Y = np.zeros((2, _MEMORY, x.size))
-    rho, a = np.zeros((2, _MEMORY))
-    slots = []  # ring slots holding (s, y) pairs, oldest first
+    np.multiply(2.0, G.reshape(-1).view(np.float64), out=g)
+    S, Y = np.zeros((2, _MEMORY + 1, x.size))
+    rho, a = np.zeros((2, _MEMORY + 1))
+    slots, spare = [], 0  # rows holding (s, y) pairs, oldest first, and the row for the next
     gamma = step_init  # the initial inverse Hessian is gamma * I
     for iters in range(max_iters + 1):
         reason = ("converged" if f <= stop_f else "grad_tol" if math.sqrt(g @ g) <= grad_tol
                   else "max_iters" if iters == max_iters else None)
         if reason:
             break
-        q = g.copy()  # two-loop recursion: q becomes H g
+        np.copyto(q, g)  # two-loop recursion: q becomes H g
         for i in reversed(slots):
             a[i] = rho[i] * (S[i] @ q)
-            q -= a[i] * Y[i]
+            q -= np.multiply(a[i], Y[i], out=t)
         q *= gamma
         for i in slots:
-            q += (a[i] - rho[i] * (Y[i] @ q)) * S[i]
+            q += np.multiply(a[i] - rho[i] * (Y[i] @ q), S[i], out=t)
         slope = g @ q
         alpha = 1.0
         while alpha >= 1e-18:
-            xn = x - alpha * q
+            np.subtract(x, np.multiply(alpha, q, out=xn), out=xn)
             fn, Gn = _residual_and_gradient(xn.view(complex).reshape(4, n, n))
             if fn <= f - 1e-4 * alpha * slope:
                 break
@@ -259,15 +293,15 @@ def _minimize(x0, n, max_iters, stop_f, grad_tol, step_init):
         else:
             reason = "line_search"
             break
-        gn = 2.0 * Gn.reshape(-1).view(np.float64)
-        s, y = xn - x, gn - g
+        np.multiply(2.0, Gn.reshape(-1).view(np.float64), out=gn)
+        s, y = np.subtract(xn, x, out=S[spare]), np.subtract(gn, g, out=Y[spare])
         sy = s @ y
         if sy > 0:  # curvature condition; otherwise the pair is skipped
-            i = slots.pop(0) if len(slots) == _MEMORY else len(slots)
-            S[i], Y[i], rho[i] = s, y, 1.0 / sy
-            slots.append(i)
+            rho[spare] = 1.0 / sy
+            slots.append(spare)
+            spare = slots.pop(0) if len(slots) > _MEMORY else len(slots)
             gamma = sy / (y @ y)
-        x, f, g = xn, fn, gn
+        x, xn, f, g, gn = xn, x, fn, gn, g
     return _pack(x.view(complex).reshape(4, n, n)), f, iters, reason
 
 
@@ -294,18 +328,9 @@ def solve(config: SolverConfig) -> SolverRun:
         pair = ConjugatePair(LinearObject(n, A, B), C, D)
         commutativity = certify_commutativity(pair.object).max_residual()
         duality = check_conjugate_matrix(pair).max_residual()
-        outcomes.append(
-            SolverOutcome(
-                start_index=idx,
-                converged=f <= config.residual_tol,
-                residual=f,
-                iterations=iters,
-                stop_reason=stop_reason,
-                commutativity=commutativity,
-                duality=duality,
-                pair=pair,
-            )
-        )
+        outcomes.append(SolverOutcome(
+            start_index=idx, converged=f <= config.residual_tol, residual=f, iterations=iters,
+            stop_reason=stop_reason, commutativity=commutativity, duality=duality, pair=pair))
     return SolverRun(config, tuple(outcomes))
 
 

@@ -259,3 +259,19 @@ class TestClassicalForm:
         decomp = classical_form(reflection(mu))
         assert decomp.characters[0].kind == "reflection"
         assert decomp.characters[0].phase == pytest.approx(mu)
+
+    @pytest.mark.parametrize("m", [4, 16, 36])
+    def test_split_symmetrizes_once(self, m, monkeypatch):
+        # split_hermitian hands its random word straight to hermitian_eig,
+        # which symmetrizes it; symmetrizing it first as well changes no bit.
+        from circleact import certify, linalg
+
+        for seed in range(3):
+            obj = sample_classical(m, seed=seed).object
+            once = classical_form(obj, seed=seed)
+            with monkeypatch.context() as mp:
+                mp.setattr(certify, "hermitian_eig",
+                           lambda H: linalg.hermitian_eig((H + adjoint(H)) / 2.0))
+                twice = classical_form(obj, seed=seed)
+            assert once.W.tobytes() == twice.W.tobytes()
+            assert once.characters == twice.characters
