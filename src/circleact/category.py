@@ -23,9 +23,9 @@ from .linalg import adjoint, frobenius, kron, matrix_to_json, nullspace_basis, u
 from .coaction import CertificateReport, CheckResult, LinearObject, _as_pairing, check_homomorphism
 from .certify import (
     AmbiguousSlot,
-    ConstraintViolation,
     NotSimultaneouslyDiagonalizable,
-    classical_form,
+    _classical_form,
+    certify_commutativity,
     split_hermitian,
 )
 
@@ -126,12 +126,12 @@ def decompose(X: LinearObject, tol: float = 1e-9, seed: int = 0) -> Decompositio
        DecompositionFailure naming the failed equations.  One passing
        them has a *-closed End(X), since every intertwiner commutes
        with the unitary U = A + B and the projection P = A*A.
-    2. The classical route: ``classical_form`` (which also certifies
-       commutativity).  Each column of its common eigenbasis W is an
-       isometry onto a one dimensional summand, whose coefficients are
-       the diagonal entries of W* A W and W* B W.
-    3. The commutant route, taken only when ``classical_form`` raises
-       ConstraintViolation, NotSimultaneouslyDiagonalizable or
+    2. The classical route, taken when ``certify_commutativity`` passes:
+       the common eigenbasis W of ``classical_form``'s core.  Each column
+       of W is an isometry onto a one dimensional summand, whose
+       coefficients are the diagonal entries of W* A W and W* B W.
+    3. The commutant route, taken when the commutativity residuals fail
+       or the core raises NotSimultaneouslyDiagonalizable or
        AmbiguousSlot: ``_decompose_commutant`` splits End(X).
 
     Whichever route ran, the summands are then certified (orthonormal
@@ -144,9 +144,11 @@ def decompose(X: LinearObject, tol: float = 1e-9, seed: int = 0) -> Decompositio
     check_homomorphism(X, tol).require(
         "object fails the homomorphism equations", DecompositionFailure
     )
+    if not certify_commutativity(X, tol).overall_pass:
+        return _decompose_commutant(X, tol, seed)
     try:
-        W = classical_form(X, tol, seed=seed).W
-    except (ConstraintViolation, NotSimultaneouslyDiagonalizable, AmbiguousSlot):
+        W = _classical_form(X, tol, seed).W
+    except (NotSimultaneouslyDiagonalizable, AmbiguousSlot):
         return _decompose_commutant(X, tol, seed)
     Ad = adjoint(W) @ X.A @ W
     Bd = adjoint(W) @ X.B @ W

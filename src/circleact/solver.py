@@ -4,15 +4,16 @@ The twenty constraint matrices (six homomorphism equations for each of
 the two candidates, eight duality equations coupling them) are stacked
 into a single penalty: the sum of squared Frobenius norms.  L-BFGS
 (Liu & Nocedal 1989) with a short memory and Armijo backtracking drives
-the penalty to zero from seeded random starts; each step costs about
-one evaluation of the penalty and its gradient, and no Jacobian is
-formed.  The analytic gradient follows the product rule through each
-constraint term (plain, adjoint, transpose, or conjugate occurrence of
-a variable pulls the factor out in a different orientation) and is
-validated against finite differences by ``gradient_check``.  Per n, the
+the penalty to zero from seeded random starts; a trial point costs a
+penalty, an accepted one also a gradient, and no Jacobian is formed.
+The analytic gradient follows the product rule through each constraint
+term (plain, adjoint, transpose, or conjugate occurrence of a variable
+pulls the factor out in a different orientation) and is validated
+against finite differences by ``gradient_check``.  Per n, the
 evaluation is compiled on first use into index arrays that gather into
-preallocated buffers, so an iteration allocates no n^2-sized array; its
-bits equal those of the plain gather kernel the tests keep as oracle.
+preallocated buffers, so an iteration allocates no n^2-sized array.
+Its bits, and every trajectory's, equal those of the plain kernel and
+minimizer that the tests keep as oracles.
 
 The point of the experiment: every converged pair turns out to be
 commutative and splits into rotation and reflection characters.  The
@@ -120,9 +121,11 @@ class _Workspace:
         np.matmul(L, R, out=out)
 
 
-def _constraints(X):
-    """This thread's workspace at X's n, filled up to the 20 constraints at X.
-    Rebuilt when the table is replaced; four n are kept (~20 MB at n = 64)."""
+def _penalty(mats):
+    """Penalty at a point, and this thread's workspace at its n filled up to
+    the 20 constraints F there.  The workspace is rebuilt when the table is
+    replaced; four n are kept (~20 MB at n = 64)."""
+    X = np.asarray(mats, dtype=complex)
     n, spaces = X.shape[1], _local.__dict__.setdefault("spaces", {})
     w = spaces.pop(n, None)
     if w is None or any(map(operator.is_not, w.tables, (_TERMS, _PIECES, _IDENTITY))):
@@ -135,13 +138,21 @@ def _constraints(X):
     np.copyto(w.X[1], w.X[0].transpose(0, 1, 3, 2))
     w.multiply(*w.products[0])
     w.flat[w.diagonal] -= 1
-    return w
+    return float(np.vdot(w.F, w.F).real), w
+
+
+def _gradient(w):
+    """Gradient stack (4, n, n) from a workspace's constraints F, in a buffer
+    that the next call at the same n in this thread overwrites."""
+    np.conjugate(w.F, out=w.Fs[0, 1])
+    np.copyto(w.Fs[1], w.Fs[0].transpose(0, 1, 3, 2))
+    w.multiply(*w.products[1])
+    return w.G
 
 
 def residual(A, B, C, D) -> float:
     """Penalty at a point: sum of squared Frobenius norms, 20 terms."""
-    F = _constraints(np.asarray((A, B, C, D), dtype=complex)).F
-    return float(np.vdot(F, F).real)
+    return _penalty((A, B, C, D))[0]
 
 
 def gradient(A, B, C, D):
@@ -156,13 +167,9 @@ def gradient(A, B, C, D):
 
 
 def _residual_and_gradient(mats):
-    """Penalty and gradient stack (4, n, n) at a point.  The stack is a
-    buffer that the next call at the same n in this thread overwrites."""
-    w = _constraints(np.asarray(mats, dtype=complex))
-    np.conjugate(w.F, out=w.Fs[0, 1])
-    np.copyto(w.Fs[1], w.Fs[0].transpose(0, 1, 3, 2))
-    w.multiply(*w.products[1])
-    return float(np.vdot(w.F, w.F).real), w.G
+    """Penalty and gradient stack (4, n, n) at a point."""
+    f, w = _penalty(mats)
+    return f, _gradient(w)
 
 
 def _pack(mats) -> np.ndarray:
@@ -259,48 +266,49 @@ def _minimize(x0, n, max_iters, stop_f, grad_tol, step_init):
     """L-BFGS with Armijo backtracking from the packed point x0.
 
     Iterates on the complex stack viewed as a flat float64 vector, where a
-    plain dot product is Re vdot and the real gradient is 2G.  Returns the
-    packed point, its penalty, the accepted steps and the stop reason.
+    plain dot product is Re vdot and the real gradient is 2G.  A gradient is
+    formed only at accepted points.  Returns the packed point, its penalty,
+    the accepted steps and the stop reason.
     """
     x = _unpack(x0, n).reshape(-1).view(np.float64)
     xn, g, gn, q, t = np.empty((5, x.size))
-    f, G = _residual_and_gradient(x.view(complex).reshape(4, n, n))
-    np.multiply(2.0, G.reshape(-1).view(np.float64), out=g)
-    S, Y = np.zeros((2, _MEMORY + 1, x.size))
-    rho, a = np.zeros((2, _MEMORY + 1))
+    f, w = _penalty(x.view(complex).reshape(4, n, n))
+    np.multiply(2.0, _gradient(w).reshape(-1).view(np.float64), out=g)
+    S, Y = (list(rows) for rows in np.zeros((2, _MEMORY + 1, x.size)))
+    rho, a = [0.0] * (_MEMORY + 1), [0.0] * (_MEMORY + 1)
     slots, spare = [], 0  # rows holding (s, y) pairs, oldest first, and the row for the next
     gamma = step_init  # the initial inverse Hessian is gamma * I
     for iters in range(max_iters + 1):
-        reason = ("converged" if f <= stop_f else "grad_tol" if math.sqrt(g @ g) <= grad_tol
+        reason = ("converged" if f <= stop_f else "grad_tol" if math.sqrt(g.dot(g)) <= grad_tol
                   else "max_iters" if iters == max_iters else None)
         if reason:
             break
         np.copyto(q, g)  # two-loop recursion: q becomes H g
         for i in reversed(slots):
-            a[i] = rho[i] * (S[i] @ q)
+            a[i] = rho[i] * float(S[i].dot(q))
             q -= np.multiply(a[i], Y[i], out=t)
         q *= gamma
         for i in slots:
-            q += np.multiply(a[i] - rho[i] * (Y[i] @ q), S[i], out=t)
-        slope = g @ q
+            q += np.multiply(a[i] - rho[i] * float(Y[i].dot(q)), S[i], out=t)
+        slope = float(g.dot(q))
         alpha = 1.0
         while alpha >= 1e-18:
             np.subtract(x, np.multiply(alpha, q, out=xn), out=xn)
-            fn, Gn = _residual_and_gradient(xn.view(complex).reshape(4, n, n))
+            fn, w = _penalty(xn.view(complex).reshape(4, n, n))
             if fn <= f - 1e-4 * alpha * slope:
                 break
             alpha /= 2.0
         else:
             reason = "line_search"
             break
-        np.multiply(2.0, Gn.reshape(-1).view(np.float64), out=gn)
+        np.multiply(2.0, _gradient(w).reshape(-1).view(np.float64), out=gn)
         s, y = np.subtract(xn, x, out=S[spare]), np.subtract(gn, g, out=Y[spare])
-        sy = s @ y
+        sy = float(s.dot(y))
         if sy > 0:  # curvature condition; otherwise the pair is skipped
             rho[spare] = 1.0 / sy
             slots.append(spare)
             spare = slots.pop(0) if len(slots) > _MEMORY else len(slots)
-            gamma = sy / (y @ y)
+            gamma = sy / y.dot(y)  # numpy division: y.y can underflow to 0
         x, xn, f, g, gn = xn, x, fn, gn, g
     return _pack(x.view(complex).reshape(4, n, n)), f, iters, reason
 

@@ -915,7 +915,7 @@ def count_calls(monkeypatch, functions):
 
 
 class TestEachCheckOnce:
-    """One certify or conjugate op evaluates each check once, whatever imports it."""
+    """One certify, conjugate or fuse op evaluates each check once, whatever imports it."""
 
     FUNCTIONS = {
         "check_homomorphism": coaction.check_homomorphism,
@@ -935,3 +935,12 @@ class TestEachCheckOnce:
         path = write_json(tmp_path / "obj.json", sample_classical(4, seed=2).object.to_json())
         assert run_cli(capsys, ["conjugate", "--input", path])[0] == 0
         assert counts == {**dict.fromkeys(self.FUNCTIONS, 1), "certify_commutativity": 0}
+
+    def test_fuse(self, capsys, monkeypatch, tmp_path):
+        counts = count_calls(monkeypatch, self.FUNCTIONS)
+        paths = [write_json(tmp_path / f"{k}.json", sample_classical(n, seed=k).object.to_json())
+                 for k, n in ((1, 3), (2, 4))]
+        code, out, _ = run_cli(capsys, ["fuse", *paths])
+        assert code == 0 and len(json.loads(out)["decomposition"]["summands"]) == 12
+        assert counts == {"check_homomorphism": 1, "check_conjugate_matrix": 0,
+                          "check_conjugate_raw": 0, "certify_commutativity": 1}

@@ -128,34 +128,40 @@ class TestMinimize:
         # Before any curvature pair is stored the L-BFGS direction is the
         # plain gradient, scaled by step_init, so the first trial point is
         # x - step_init * g with the real gradient g = 2G.
-        evaluate = solver._residual_and_gradient
+        penalty = solver._penalty
         points = []
 
-        def recorded_evaluate(mats):
+        def recorded_penalty(mats):
             points.append(np.array(mats))
-            return evaluate(mats)
+            return penalty(mats)
 
-        monkeypatch.setattr(solver, "_residual_and_gradient", recorded_evaluate)
+        monkeypatch.setattr(solver, "_penalty", recorded_penalty)
         x0 = 1e-2 * np.random.default_rng(0).standard_normal(32)
         _minimize(x0, 2, 1, 1e-20, 1e-12, 0.25)
-        _, G0 = evaluate(points[0])
+        G0 = solver._gradient(penalty(points[0])[1])
         np.testing.assert_allclose(points[1], points[0] - 0.25 * 2.0 * G0, rtol=1e-15, atol=0)
 
     def test_stop_reason_line_search(self, monkeypatch):
         # A penalty that rises at every trial point halves the step below
-        # 1e-18 without accepting it.
-        evaluate = solver._residual_and_gradient
+        # 1e-18 without accepting it, and no gradient is formed at a
+        # rejected trial.
+        penalty, grad = solver._penalty, solver._gradient
         calls = []
 
         def rising(mats):
-            calls.append(None)
-            return float(len(calls)), evaluate(mats)[1]
+            calls.append("p")
+            return float(calls.count("p")), penalty(mats)[1]
 
-        monkeypatch.setattr(solver, "_residual_and_gradient", rising)
+        def counted_gradient(w):
+            calls.append("g")
+            return grad(w)
+
+        monkeypatch.setattr(solver, "_penalty", rising)
+        monkeypatch.setattr(solver, "_gradient", counted_gradient)
         x0 = np.random.default_rng(1).standard_normal(8)
         _, f, iters, reason = _minimize(x0, 1, 100, 1e-20, 1e-12, 1.0)
         assert (f, iters, reason) == (1.0, 0, "line_search")
-        assert len(calls) == 1 + 60  # the start, then trials at 2**-k for k < 60
+        assert calls == ["p", "g"] + ["p"] * 60  # the start, then trials at 2**-k for k < 60
 
 
 class TestSolve:
