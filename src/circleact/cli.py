@@ -33,6 +33,8 @@ from datetime import datetime, timezone
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
+import numpy as np
+
 from . import __version__
 from .linalg import DimensionMismatch, NoConvergence, SchemaError, vector_from_json
 from .coaction import (
@@ -294,7 +296,10 @@ def _cmd_fuse(args) -> tuple[dict, bool]:
             raise SchemaError("stdin: expected a JSON array of two objects")
         docs = ((doc, f"[{i}]") for i, doc in enumerate(payload_in))
     left, right = (LinearObject.from_json(_unwrap(doc), path=path) for doc, path in docs)
-    product = tensor_product(left, right)
+    try:
+        product = tensor_product(left, right)
+    except ValueError as exc:  # finite factors whose product overflows
+        raise SchemaError(f"product: {exc}") from exc
     payload = {"kind": "fuse", "product": product.to_json()}
     try:
         dec = decompose(product, args.tol, seed=args.seed)
@@ -436,7 +441,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_arguments(args)
-        payload, passed = args.func(args)
+        with np.errstate(all="ignore"):  # overflow is measured in the output, not warned of
+            payload, passed = args.func(args)
         _write_payload(payload, args.output, args.reproducible)
     except NoConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)

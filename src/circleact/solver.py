@@ -24,7 +24,6 @@ commutativity residuals so a counterexample would surface immediately.
 from __future__ import annotations
 
 import math
-import operator
 import threading
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
@@ -55,7 +54,7 @@ ALGORITHM = f"L-BFGS (memory {_MEMORY}) with Armijo backtracking"
 RNG_FAMILY = "numpy PCG64"
 
 def _kernel_indices(cons):
-    """Index arrays of the stacked kernel, built once from a constraint table.
+    """Index arrays of the stacked kernel, built from a constraint table.
 
     Each output matrix is a row of (left, right) index pairs into a
     stack, summing their products.  The stack holds the 16 occurrences,
@@ -82,22 +81,22 @@ def _kernel_indices(cons):
         return arr[..., 0], arr[..., 1]
 
     identity = [c for c, (_, has_identity) in enumerate(cons) if has_identity]
-    return padded(terms), padded(pieces), np.array(identity)
+    return padded(terms), padded(pieces), np.array(identity, dtype=np.intp)
 
 
-_TERMS, _PIECES, _IDENTITY = _kernel_indices(_CONSTRAINTS)
 _local = threading.local()  # this thread's workspaces, least recently used first
 
 
 class _Workspace:
-    """The kernel at one n and one constraint table.  A stack holds every
-    matrix an index pair names: X, conj X, X^T, X^H, the zero, then F,
-    conj F, F^T, F^H.  Each sum of products gathers matrix rows of it into
-    left factors side by side and right factors stacked, then matmuls them
-    into F's place in the stack or into G."""
+    """The kernel at one n, compiled from the constraint table cons.  A
+    stack holds every matrix an index pair names: X, conj X, X^T, X^H, the
+    zero, then F, conj F, F^T, F^H.  Each sum of products gathers matrix
+    rows of it into left factors side by side and right factors stacked,
+    then matmuls them into F's place in the stack or into G."""
 
-    def __init__(self, n, tables):
-        self.tables = terms, pieces, identity = tables
+    def __init__(self, n, cons):
+        self.cons = cons
+        terms, pieces, identity = _kernel_indices(cons)
         m, i = len(terms[0]), np.arange(n)
         self.stack = np.zeros((17 + 4 * m, n, n), dtype=complex)
         self.X = self.stack[:16].reshape(2, 2, 4, n, n)  # [transposed, conjugated]
@@ -123,13 +122,13 @@ class _Workspace:
 
 def _penalty(mats):
     """Penalty at a point, and this thread's workspace at its n filled up to
-    the 20 constraints F there.  The workspace is rebuilt when the table is
+    the constraints F there.  The workspace is rebuilt when _CONSTRAINTS is
     replaced; four n are kept (~20 MB at n = 64)."""
     X = np.asarray(mats, dtype=complex)
     n, spaces = X.shape[1], _local.__dict__.setdefault("spaces", {})
     w = spaces.pop(n, None)
-    if w is None or any(map(operator.is_not, w.tables, (_TERMS, _PIECES, _IDENTITY))):
-        w = _Workspace(n, (_TERMS, _PIECES, _IDENTITY))
+    if w is None or w.cons is not _CONSTRAINTS:
+        w = _Workspace(n, _CONSTRAINTS)
     spaces[n] = w
     if len(spaces) > 4:
         del spaces[next(iter(spaces))]
@@ -162,26 +161,7 @@ def gradient(A, B, C, D):
     along a real coordinate is 2*Re(G) for real parts and 2*Im(G) for
     imaginary parts.
     """
-    _, G = _residual_and_gradient((A, B, C, D))
-    return tuple(G.copy())
-
-
-def _residual_and_gradient(mats):
-    """Penalty and gradient stack (4, n, n) at a point."""
-    f, w = _penalty(mats)
-    return f, _gradient(w)
-
-
-def _pack(mats) -> np.ndarray:
-    """Real coordinates of a point: real then imaginary part, per variable."""
-    X = np.asarray(mats, dtype=complex)
-    return np.stack((X.real, X.imag), axis=1).ravel()
-
-
-def _unpack(x: np.ndarray, n: int) -> np.ndarray:
-    """The (4, n, n) complex stack of a packed point."""
-    parts = x.reshape(4, 2, n, n)
-    return parts[:, 0] + 1j * parts[:, 1]
+    return tuple(_gradient(_penalty((A, B, C, D))[1]).copy())
 
 
 @dataclass(frozen=True)
@@ -197,9 +177,9 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n", "restarts", "max_iters"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+        for name, least in (("n", 1), ("restarts", 1), ("max_iters", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}")
         if self.n > SOLVE_MAX_N:
             raise ValueError(f"n must be at most {SOLVE_MAX_N}")
         for name in ("residual_tol", "grad_tol", "step_init"):
@@ -262,17 +242,18 @@ class SolverRun:
         }
 
 
-def _minimize(x0, n, max_iters, stop_f, grad_tol, step_init):
-    """L-BFGS with Armijo backtracking from the packed point x0.
+def _minimize(X0, max_iters, stop_f, grad_tol, step_init):
+    """L-BFGS with Armijo backtracking from a copy of the (4, n, n) stack X0.
 
     Iterates on the complex stack viewed as a flat float64 vector, where a
     plain dot product is Re vdot and the real gradient is 2G.  A gradient is
-    formed only at accepted points.  Returns the packed point, its penalty,
-    the accepted steps and the stop reason.
+    formed only at accepted points.  Returns the stack where it stopped, its
+    penalty, the accepted steps and the stop reason.
     """
-    x = _unpack(x0, n).reshape(-1).view(np.float64)
+    X = np.array(X0, dtype=complex, order="C")
+    x = X.reshape(-1).view(np.float64)
     xn, g, gn, q, t = np.empty((5, x.size))
-    f, w = _penalty(x.view(complex).reshape(4, n, n))
+    f, w = _penalty(X)
     np.multiply(2.0, _gradient(w).reshape(-1).view(np.float64), out=g)
     S, Y = (list(rows) for rows in np.zeros((2, _MEMORY + 1, x.size)))
     rho, a = [0.0] * (_MEMORY + 1), [0.0] * (_MEMORY + 1)
@@ -294,7 +275,7 @@ def _minimize(x0, n, max_iters, stop_f, grad_tol, step_init):
         alpha = 1.0
         while alpha >= 1e-18:
             np.subtract(x, np.multiply(alpha, q, out=xn), out=xn)
-            fn, w = _penalty(xn.view(complex).reshape(4, n, n))
+            fn, w = _penalty(xn.view(complex).reshape(X.shape))
             if fn <= f - 1e-4 * alpha * slope:
                 break
             alpha /= 2.0
@@ -310,7 +291,7 @@ def _minimize(x0, n, max_iters, stop_f, grad_tol, step_init):
             spare = slots.pop(0) if len(slots) > _MEMORY else len(slots)
             gamma = sy / y.dot(y)  # numpy division: y.y can underflow to 0
         x, xn, f, g, gn = xn, x, fn, gn, g
-    return _pack(x.view(complex).reshape(4, n, n)), f, iters, reason
+    return x.view(complex).reshape(X.shape), f, iters, reason
 
 
 def solve(config: SolverConfig) -> SolverRun:
@@ -327,13 +308,13 @@ def solve(config: SolverConfig) -> SolverRun:
     outcomes = []
     for idx in range(config.restarts):
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, idx)))
-        # The packed start: real then imaginary parts of A, B, C, D in turn.
-        x0 = (1.0 / np.sqrt(2.0 * n)) * rng.standard_normal(8 * n * n)
-        x, f, iters, stop_reason = _minimize(
-            x0, n, config.max_iters, config.residual_tol ** 2, config.grad_tol, config.step_init
+        # The start draws real then imaginary parts of A, B, C, D in turn.
+        Z = (1.0 / np.sqrt(2.0 * n)) * rng.standard_normal((4, 2, n, n))
+        X, f, iters, stop_reason = _minimize(
+            Z[:, 0] + 1j * Z[:, 1], config.max_iters, config.residual_tol ** 2, config.grad_tol,
+            config.step_init,
         )
-        A, B, C, D = _unpack(x, n)
-        pair = ConjugatePair(LinearObject(n, A, B), C, D)
+        pair = ConjugatePair(LinearObject(n, X[0], X[1]), X[2], X[3])
         commutativity = certify_commutativity(pair.object).max_residual()
         duality = check_conjugate_matrix(pair).max_residual()
         outcomes.append(SolverOutcome(
@@ -370,24 +351,23 @@ def sample_classical(n: int, seed: int = 0) -> ConjugatePair:
 def gradient_check(point, seed: int = 0) -> float:
     """Compare the analytic gradient with central differences.
 
-    Perturbs 32 seeded random real coordinates of the packed point by
+    Perturbs 32 seeded random real coordinates of the point, in the
+    float64 view of its complex stack that ``_minimize`` iterates on, by
     steps of 1e-6 and returns the worst deviation, relative where the
     analytic entry is large and absolute where it is small.
     """
     step = 1e-6
-    n = np.shape(point[0])[0]
-    x = _pack(point)
-    _, G = _residual_and_gradient(point)
-    g = _pack(2.0 * G)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, n, x.size)))
+    X = np.array(point, dtype=complex, order="C")
+    x = X.reshape(-1).view(np.float64)
+    g = 2.0 * _gradient(_penalty(X)[1]).reshape(-1).view(np.float64)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, X.shape[1], x.size)))
     picks = rng.integers(0, x.size, size=32)
     worst = 0.0
     for j in picks:
         e = np.zeros_like(x)
         e[j] = 1.0
-        fd = (residual(*_unpack(x + step * e, n)) - residual(*_unpack(x - step * e, n))) / (
-            2.0 * step
-        )
+        fd = (_penalty((x + step * e).view(complex).reshape(X.shape))[0]
+              - _penalty((x - step * e).view(complex).reshape(X.shape))[0]) / (2.0 * step)
         err = abs(fd - g[j]) / max(1.0, abs(g[j]))
         worst = max(worst, float(err))
     return worst

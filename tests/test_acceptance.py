@@ -354,10 +354,7 @@ def test_criterion_6_numerical_hygiene():
 def test_criterion_7_negative_control(monkeypatch, tmp_path):
     # Rows 0-11 are the homomorphism equations of (A, B) and (C, D);
     # dropping the eight duality rows admits non-commutative solutions.
-    terms, pieces, identity = solver._kernel_indices(_CONSTRAINTS[:12])
-    monkeypatch.setattr(solver, "_TERMS", terms)
-    monkeypatch.setattr(solver, "_PIECES", pieces)
-    monkeypatch.setattr(solver, "_IDENTITY", identity)
+    monkeypatch.setattr(solver, "_CONSTRAINTS", _CONSTRAINTS[:12])
     ok = True
     found = {}
     for n in (2, 3, 4):

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from circleact import certify, cli, coaction
 from circleact.certify import ConstraintViolation, certify_duality
 from circleact.cli import MAX_N, main
-from circleact.coaction import ConjugatePair, LinearObject
+from circleact.coaction import ConjugatePair, LinearObject, check_homomorphism
 from circleact.linalg import NoConvergence
 from circleact.solver import SOLVE_MAX_N, SolverConfig, sample_classical
 
@@ -486,6 +487,29 @@ class TestInputContract:
         SolverConfig(n=SOLVE_MAX_N, restarts=1)
         with pytest.raises(ValueError, match=f"at most {SOLVE_MAX_N}"):
             SolverConfig(n=SOLVE_MAX_N + 1, restarts=1)
+
+    def test_solver_config_rejects_negative_seed(self):
+        SolverConfig(n=2, seed=0)
+        with pytest.raises(ValueError, match="^seed must be at least 0$"):
+            SolverConfig(n=2, seed=-1)
+
+    def test_overflowing_check_exits_one_without_warnings(self, tmp_path):
+        # A = 1e200 I is finite, but A A* overflows: the report measures an
+        # infinite residual, and numpy writes no warning to stderr.
+        obj = LinearObject(1, np.array([[1e200]]), np.zeros((1, 1)))
+        path = write_json(tmp_path / "big.json", obj.to_json())
+        with np.errstate(over="ignore"):
+            report = check_homomorphism(obj).to_json()
+        assert math.inf in [c["residual"] for c in report["checks"]]
+        expected = json.dumps({"kind": "check", "report": report}, indent=2, sort_keys=True)
+        assert fresh_run(["check", "--input", path, "--reproducible"]) == (1, expected + "\n", "")
+
+    def test_overflowing_product_exits_two_naming_it(self, tmp_path):
+        # Both factors are finite; their tensor product is not.
+        obj = LinearObject(1, np.array([[1e160]]), np.zeros((1, 1)))
+        path = write_json(tmp_path / "x.json", obj.to_json())
+        error = "error: product: A: non-finite entries are not admitted\n"
+        assert fresh_run(["fuse", path, path]) == (2, "", error)
 
     def test_memory_error_exits_two_without_traceback(self, capsys, monkeypatch, tmp_path):
         def exhaust(*_args, **_kwargs):

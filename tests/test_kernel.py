@@ -25,13 +25,10 @@ import numpy as np
 import pytest
 
 from circleact import solver
-from circleact.coaction import _CONSTRAINTS
 from circleact.solver import (
     _MEMORY,
     SolverConfig,
     _minimize,
-    _pack,
-    _unpack,
     gradient,
     residual,
     solve,
@@ -59,22 +56,29 @@ def _sum_of_products(S, index):
 
 def oracle(mats):
     """Penalty, gradient and constraints at a point, under the solver's
-    current table."""
+    current constraint table, compiled here."""
+    terms, pieces, identity = solver._kernel_indices(solver._CONSTRAINTS)
     X = np.asarray(mats, dtype=complex)
     n = X.shape[1]
     O = np.concatenate((_oriented(X), np.zeros((1, n, n))))
-    F = _sum_of_products(O, solver._TERMS)
-    F[solver._IDENTITY] -= np.eye(n)
-    G = _sum_of_products(np.concatenate((O, _oriented(F))), solver._PIECES)
+    F = _sum_of_products(O, terms)
+    F[identity] -= np.eye(n)
+    G = _sum_of_products(np.concatenate((O, _oriented(F))), pieces)
     return float(np.vdot(F, F).real), G, F
 
 
-def oracle_minimize(x0, n, max_iters, stop_f, grad_tol, step_init):
+def penalty_and_gradient(X):
+    f, w = solver._penalty(X)
+    return f, solver._gradient(w)
+
+
+def oracle_minimize(X0, max_iters, stop_f, grad_tol, step_init):
     """L-BFGS with Armijo backtracking, evaluating penalty and gradient
     together at every trial point."""
-    x = _unpack(x0, n).reshape(-1).view(np.float64)
+    X = np.array(X0, dtype=complex)
+    x = X.reshape(-1).view(np.float64)
     xn, g, gn, q, t = np.empty((5, x.size))
-    f, G = solver._residual_and_gradient(x.view(complex).reshape(4, n, n))
+    f, G = penalty_and_gradient(X)
     np.multiply(2.0, G.reshape(-1).view(np.float64), out=g)
     S, Y = np.zeros((2, _MEMORY + 1, x.size))
     rho, a = np.zeros((2, _MEMORY + 1))
@@ -96,7 +100,7 @@ def oracle_minimize(x0, n, max_iters, stop_f, grad_tol, step_init):
         alpha = 1.0
         while alpha >= 1e-18:
             np.subtract(x, np.multiply(alpha, q, out=xn), out=xn)
-            fn, Gn = solver._residual_and_gradient(xn.view(complex).reshape(4, n, n))
+            fn, Gn = penalty_and_gradient(xn.view(complex).reshape(X.shape))
             if fn <= f - 1e-4 * alpha * slope:
                 break
             alpha /= 2.0
@@ -112,7 +116,7 @@ def oracle_minimize(x0, n, max_iters, stop_f, grad_tol, step_init):
             spare = slots.pop(0) if len(slots) > _MEMORY else len(slots)
             gamma = sy / (y @ y)
         x, xn, f, g, gn = xn, x, fn, gn, g
-    return _pack(x.view(complex).reshape(4, n, n)), f, iters, reason
+    return x.view(complex).reshape(X.shape), f, iters, reason
 
 
 def point(n, seed):
@@ -120,13 +124,19 @@ def point(n, seed):
     return rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n))
 
 
+def start(draw):
+    """The complex stack of a start drawn as solve draws it: real then
+    imaginary parts of A, B, C, D in turn, shaped (4, 2, n, n)."""
+    return draw[:, 0] + 1j * draw[:, 1]
+
+
 def assert_kernel_matches_oracle(X):
     f, G, F = oracle(X)
-    assert np.array_equal(solver._penalty(X)[1].F, F)
-    assert residual(*X) == f
-    f_new, G_new = solver._residual_and_gradient(X)
+    f_new, w = solver._penalty(X)
+    assert np.array_equal(w.F, F)
     assert f_new == f
-    assert np.array_equal(G_new, G)
+    assert np.array_equal(solver._gradient(w), G)
+    assert residual(*X) == f
     assert all(np.array_equal(a, b) for a, b in zip(gradient(*X), G))
 
 
@@ -151,12 +161,6 @@ def counted_kernel(mp):
     return events
 
 
-def use_table(mp, terms, pieces, identity):
-    mp.setattr(solver, "_TERMS", terms)
-    mp.setattr(solver, "_PIECES", pieces)
-    mp.setattr(solver, "_IDENTITY", identity)
-
-
 class TestOracle:
     @pytest.mark.parametrize("n", NS)
     def test_full_table(self, n):
@@ -165,7 +169,7 @@ class TestOracle:
 
     @pytest.mark.parametrize("n", NS)
     def test_homomorphism_rows(self, n, monkeypatch):
-        use_table(monkeypatch, *solver._kernel_indices(_CONSTRAINTS[:12]))
+        monkeypatch.setattr(solver, "_CONSTRAINTS", solver._CONSTRAINTS[:12])
         for seed in range(3):
             assert_kernel_matches_oracle(point(n, seed))
 
@@ -261,8 +265,8 @@ class TestMinimizerOracle:
     def test_line_search_below_the_normal_range(self, seed):
         # With no penalty target the search runs on until f is subnormal,
         # the curvature scalars overflow and the line search gives up.
-        x0 = np.random.default_rng(seed).standard_normal(8) / np.sqrt(2.0)
-        lean, oracle_ = (minimize(x0, 1, 5000, 0.0, 1e-300, 1.0)
+        X0 = start(np.random.default_rng(seed).standard_normal((4, 2, 1, 1)) / np.sqrt(2.0))
+        lean, oracle_ = (minimize(X0, 5000, 0.0, 1e-300, 1.0)
                          for minimize in (_minimize, oracle_minimize))
         assert lean[0].tobytes() == oracle_[0].tobytes() and lean[1:] == oracle_[1:]
         assert lean[3] == "line_search" and 0 < lean[1] < 1e-300
@@ -278,20 +282,25 @@ class TestWorkspaces:
         assert len(solver._local.spaces) <= 4
         assert run_bytes(SolverConfig(n=2, restarts=3, seed=1)) == first
 
-    @pytest.mark.parametrize("name", ["_TERMS", "_PIECES", "_IDENTITY"])
+    @pytest.mark.parametrize("name", ["fewer_terms", "a_b_swapped", "fewer_identities",
+                                      "no_identity"])
     def test_table_replaced_and_restored(self, name, monkeypatch):
-        # Each variant is a consistent table whose kernel differs, so a
-        # workspace compiled from the old table would be caught.
+        # Each variant is a table whose kernel differs, so a workspace
+        # compiled from the old table would be caught.
         X = point(3, 4)
         before = (residual(*X), [g.tobytes() for g in gradient(*X)])
-        terms, pieces, identity = solver._TERMS, solver._PIECES, solver._IDENTITY
-        left = terms[0].copy()
-        left[0, 0] = 16  # the zero: row 0 loses a term
-        variant = {"_TERMS": (left, terms[1]),
-                   "_PIECES": (pieces[0][::-1], pieces[1][::-1]),  # G_A, ..., G_D reversed
-                   "_IDENTITY": identity[:4]}[name]
+        table, ab = solver._CONSTRAINTS, (1, 0, 2, 3)  # ab swaps A and B
+        with_identity = [c for c, (_, has_identity) in enumerate(table) if has_identity]
+        variant = {
+            "fewer_terms": [(table[0][0][1:], table[0][1])] + list(table[1:]),
+            "a_b_swapped": [([(ab[i], p, ab[j], q) for i, p, j, q in terms], has_identity)
+                            for terms, has_identity in table],
+            "fewer_identities": [(terms, c in with_identity[:4])
+                                 for c, (terms, _) in enumerate(table)],
+            "no_identity": [(terms, False) for terms, _ in table],
+        }[name]
         with monkeypatch.context() as mp:
-            mp.setattr(solver, name, variant)
+            mp.setattr(solver, "_CONSTRAINTS", variant)
             assert_kernel_matches_oracle(X)
             assert (residual(*X), [g.tobytes() for g in gradient(*X)]) != before
         assert (residual(*X), [g.tobytes() for g in gradient(*X)]) == before
@@ -333,11 +342,11 @@ class TestAllocation:
     @pytest.mark.parametrize("n", [32, 64])
     def test_kernel_call(self, n):
         X = point(n, 0)
-        solver._residual_and_gradient(X)  # compiles the workspace
+        penalty_and_gradient(X)  # compiles the workspace
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            solver._residual_and_gradient(X)
+            penalty_and_gradient(X)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -355,12 +364,12 @@ class TestAllocation:
             tracemalloc.reset_peak()
             return evaluate(mats)
 
-        solver._residual_and_gradient(point(n, 0))
+        penalty_and_gradient(point(n, 0))
         monkeypatch.setattr(solver, "_penalty", traced)
-        x0 = np.random.default_rng(0).standard_normal(8 * n * n) / np.sqrt(2.0 * n)
+        X0 = start(np.random.default_rng(0).standard_normal((4, 2, n, n)) / np.sqrt(2.0 * n))
         tracemalloc.start()
         try:
-            _, _, iters, _ = _minimize(x0, n, 3, 1e-20, 1e-12, 1.0)
+            _, _, iters, _ = _minimize(X0, 3, 1e-20, 1e-12, 1.0)
         finally:
             tracemalloc.stop()
         # The first interval holds the L-BFGS memory, allocated once.

@@ -7,7 +7,6 @@ import pytest
 
 from circleact.certify import certify_commutativity, classical_form
 from circleact.coaction import (
-    _CONSTRAINTS,
     ConjugatePair,
     LinearObject,
     check_conjugate_matrix,
@@ -24,7 +23,7 @@ from circleact.solver import (
     sample_classical,
     solve,
 )
-from circleact.solver import _minimize, _pack, _unpack
+from circleact.solver import _minimize
 
 
 def one_dim(a, b, c, d):
@@ -89,10 +88,7 @@ class TestConstraintSubset:
         # The twelve homomorphism rows compile to a kernel of their own:
         # its penalty is the sum of those rows' squared certifier
         # residuals, and its gradient matches central differences.
-        terms, pieces, identity = solver._kernel_indices(_CONSTRAINTS[:12])
-        monkeypatch.setattr(solver, "_TERMS", terms)
-        monkeypatch.setattr(solver, "_PIECES", pieces)
-        monkeypatch.setattr(solver, "_IDENTITY", identity)
+        monkeypatch.setattr(solver, "_CONSTRAINTS", solver._CONSTRAINTS[:12])
         rng = np.random.default_rng(5)
         for n in (1, 2, 3, 5):
             mats = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -109,19 +105,20 @@ class TestConstraintSubset:
 class TestMinimize:
     def test_solution_is_fixed_point(self):
         pair = sample_classical(2, seed=4)
-        x0 = _pack([pair.object.A, pair.object.B, pair.C, pair.D])
-        x, f, iters, reason = _minimize(x0, 2, 100, 1e-20, 1e-12, 1.0)
+        X0 = np.array([pair.object.A, pair.object.B, pair.C, pair.D])
+        X, f, iters, reason = _minimize(X0, 100, 1e-20, 1e-12, 1.0)
         assert (iters, reason) == (0, "converged")
         assert f <= 1e-24
-        assert np.array_equal(x, x0)
+        assert np.array_equal(X, X0) and X is not X0
 
     def test_descends_from_noise(self):
         rng = np.random.default_rng(5)
         pair = sample_classical(1, seed=6)
-        x0 = _pack([pair.object.A, pair.object.B, pair.C, pair.D])
-        x0 = x0 + 1e-2 * rng.standard_normal(x0.size)
-        f0 = residual(*_unpack(x0, 1))
-        _, f, _, _ = _minimize(x0, 1, 2000, 1e-20, 1e-12, 1.0)
+        noise = 1e-2 * rng.standard_normal((4, 2, 1, 1))
+        X0 = np.array([pair.object.A, pair.object.B, pair.C, pair.D])
+        X0 += noise[:, 0] + 1j * noise[:, 1]
+        f0 = residual(*X0)
+        _, f, _, _ = _minimize(X0, 2000, 1e-20, 1e-12, 1.0)
         assert f < f0 * 1e-10
 
     def test_first_trial_is_steepest_descent_at_step_init(self, monkeypatch):
@@ -136,8 +133,8 @@ class TestMinimize:
             return penalty(mats)
 
         monkeypatch.setattr(solver, "_penalty", recorded_penalty)
-        x0 = 1e-2 * np.random.default_rng(0).standard_normal(32)
-        _minimize(x0, 2, 1, 1e-20, 1e-12, 0.25)
+        draw = 1e-2 * np.random.default_rng(0).standard_normal((4, 2, 2, 2))
+        _minimize(draw[:, 0] + 1j * draw[:, 1], 1, 1e-20, 1e-12, 0.25)
         G0 = solver._gradient(penalty(points[0])[1])
         np.testing.assert_allclose(points[1], points[0] - 0.25 * 2.0 * G0, rtol=1e-15, atol=0)
 
@@ -158,8 +155,8 @@ class TestMinimize:
 
         monkeypatch.setattr(solver, "_penalty", rising)
         monkeypatch.setattr(solver, "_gradient", counted_gradient)
-        x0 = np.random.default_rng(1).standard_normal(8)
-        _, f, iters, reason = _minimize(x0, 1, 100, 1e-20, 1e-12, 1.0)
+        draw = np.random.default_rng(1).standard_normal((4, 2, 1, 1))
+        _, f, iters, reason = _minimize(draw[:, 0] + 1j * draw[:, 1], 100, 1e-20, 1e-12, 1.0)
         assert (f, iters, reason) == (1.0, 0, "line_search")
         assert calls == ["p", "g"] + ["p"] * 60  # the start, then trials at 2**-k for k < 60
 
