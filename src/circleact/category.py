@@ -24,7 +24,7 @@ from .coaction import CertificateReport, CheckResult, LinearObject, _as_pairing,
 from .certify import (
     AmbiguousSlot,
     NotSimultaneouslyDiagonalizable,
-    _classical_form,
+    _joint_diagonal,
     certify_commutativity,
     split_hermitian,
 )
@@ -127,16 +127,17 @@ def decompose(X: LinearObject, tol: float = 1e-9, seed: int = 0) -> Decompositio
        them has a *-closed End(X), since every intertwiner commutes
        with the unitary U = A + B and the projection P = A*A.
     2. The classical route, taken when ``certify_commutativity`` passes:
-       the common eigenbasis W of ``classical_form``'s core.  Each column
-       of W is an isometry onto a one dimensional summand, whose
-       coefficients are the diagonal entries of W* A W and W* B W.
+       the common eigenbasis W of ``classical_form``'s core, with the
+       W* A W and W* B W it formed.  Each column of W is an isometry onto
+       a one dimensional summand, whose coefficients are their diagonals.
     3. The commutant route, taken when the commutativity residuals fail
        or the core raises NotSimultaneouslyDiagonalizable or
        AmbiguousSlot: ``_decompose_commutant`` splits End(X).
 
-    Whichever route ran, the summands are then certified (orthonormal
-    columns, complete, intertwining within tol*sqrt(n)); any failure
-    raises DecompositionFailure.  Nothing is certified by construction.
+    Whichever route ran, the summands are then certified over their
+    stacked isometry (orthonormal columns, complete, intertwining within
+    tol*sqrt(n)); any failure raises DecompositionFailure.  Nothing is
+    certified by construction.
 
     Deterministic for fixed (X, tol, seed); summands come out ordered by
     the eigenvalue clusters of the random words.
@@ -147,11 +148,9 @@ def decompose(X: LinearObject, tol: float = 1e-9, seed: int = 0) -> Decompositio
     if not certify_commutativity(X, tol).overall_pass:
         return _decompose_commutant(X, tol, seed)
     try:
-        W = _classical_form(X, tol, seed).W
+        W, Ad, Bd = _joint_diagonal(X, tol, seed)
     except (NotSimultaneouslyDiagonalizable, AmbiguousSlot):
         return _decompose_commutant(X, tol, seed)
-    Ad = adjoint(W) @ X.A @ W
-    Bd = adjoint(W) @ X.B @ W
     summands = [
         (LinearObject(1, Ad[i : i + 1, i : i + 1], Bd[i : i + 1, i : i + 1]), W[:, i : i + 1])
         for i in range(X.n)
@@ -200,19 +199,35 @@ def _decompose_commutant(X: LinearObject, tol: float, seed: int) -> Decompositio
 def _certified_decomposition(
     X: LinearObject, summands: list, tol: float, seed: int
 ) -> Decomposition:
-    """Check the summands of X at tol*sqrt(n) and wrap them up."""
+    """Check the summands of X at tol*sqrt(n) and wrap them up.
+
+    Over W = [V_1 ... V_k] and the leaves laid block-diagonally in L_A, L_B,
+    the checks are W*W - I on the diagonal blocks, X.A W - W L_A, X.B W - W L_B
+    (each read per summand's columns; the first failing summand and check is
+    reported), then W W* - I."""
     n = X.n
     check_tol = tol * np.sqrt(n)
-    total = np.zeros((n, n), dtype=complex)
-    for leaf, V in summands:
-        total = total + V @ adjoint(V)
-        if frobenius(adjoint(V) @ V - np.eye(leaf.n)) > check_tol:
-            raise DecompositionFailure("summand isometry is not orthonormal")
-        if frobenius(X.A @ V - V @ leaf.A) > check_tol:
-            raise DecompositionFailure("summand does not intertwine the +1 coefficient")
-        if frobenius(X.B @ V - V @ leaf.B) > check_tol:
-            raise DecompositionFailure("summand does not intertwine the -1 coefficient")
-    if frobenius(total - np.eye(n)) > check_tol:
+    W = np.hstack([V for _, V in summands])
+    dims = [leaf.n for leaf, _ in summands]
+    starts = np.cumsum([0, *dims[:-1]])
+    LA, LB = np.zeros((2, W.shape[1], W.shape[1]), dtype=complex)
+    for (leaf, _), i, d in zip(summands, starts, dims):
+        LA[i : i + d, i : i + d], LB[i : i + d, i : i + d] = leaf.A, leaf.B
+    block = np.repeat(np.arange(len(dims)), dims)
+    residuals = (
+        (adjoint(W) @ W - np.eye(W.shape[1])) * (block[:, None] == block),
+        X.A @ W - W @ LA,
+        X.B @ W - W @ LB,
+    )
+    columns = [(R.real**2 + R.imag**2).sum(axis=0) for R in residuals]
+    passed = np.sqrt(np.add.reduceat(columns, starts, axis=1)) <= check_tol
+    for _, check in np.argwhere(~passed.T)[:1]:  # the first failing summand, then check
+        raise DecompositionFailure(
+            ("summand isometry is not orthonormal",
+             "summand does not intertwine the +1 coefficient",
+             "summand does not intertwine the -1 coefficient")[check]
+        )
+    if not frobenius(W @ adjoint(W) - np.eye(n)) <= check_tol:
         raise DecompositionFailure("summand isometries do not resolve the identity")
     return Decomposition(X, tuple(summands), seed)
 

@@ -221,14 +221,18 @@ def classical_form(
 
 
 def _classical_form(obj: LinearObject, tol: float, seed: int) -> ClassicalDecomposition:
-    A, B = obj.A, obj.B
-    n = obj.n
-    gens = [
-        A + adjoint(A),
-        1j * (A - adjoint(A)),
-        B + adjoint(B),
-        1j * (B - adjoint(B)),
-    ]
+    W, Ad, Bd = _joint_diagonal(obj, tol, seed)
+    characters = tuple(
+        Character("rotation", a) if abs(a) >= abs(b) else Character("reflection", b)
+        for a, b in zip(np.diag(Ad).tolist(), np.diag(Bd).tolist())
+    )
+    return ClassicalDecomposition(W, characters)
+
+
+def _joint_diagonal(obj: LinearObject, tol: float, seed: int):
+    """The common eigenbasis W, W* A W and W* B W: diagonal, one character per slot."""
+    A, B, n = obj.A, obj.B, obj.n
+    gens = [A + adjoint(A), 1j * (A - adjoint(A)), B + adjoint(B), 1j * (B - adjoint(B))]
     rng = np.random.default_rng(np.random.SeedSequence((seed, n)))
     W = np.hstack(split_hermitian(np.stack(gens), tol, rng))
 
@@ -242,19 +246,12 @@ def _classical_form(obj: LinearObject, tol: float, seed: int) -> ClassicalDecomp
         raise NotSimultaneouslyDiagonalizable(
             f"off-diagonal mass {off:.3e} exceeds {tol * np.sqrt(n):.3e}"
         )
-
-    characters = []
-    for i in range(n):
-        a, b = complex(Ad[i, i]), complex(Bd[i, i])
+    for i, (a, b) in enumerate(zip(np.diag(Ad).tolist(), np.diag(Bd).tolist())):
         if min(abs(a), abs(b)) > tol:
             raise AmbiguousSlot(
                 f"slot {i} carries weight on both coefficients: |a|={abs(a):.3e}, |b|={abs(b):.3e}"
             )
-        if abs(a) >= abs(b):
-            characters.append(Character("rotation", a))
-        else:
-            characters.append(Character("reflection", b))
-    return ClassicalDecomposition(W, tuple(characters))
+    return W, Ad, Bd
 
 
 def _require_valid_pair(pair: ConjugatePair, tol: float) -> None:
@@ -277,10 +274,11 @@ def split_hermitian(family, tol: float, rng) -> list[np.ndarray]:
     diagonalized, its eigenvalues are split into clusters separated by
     more than max(1e-7, 100*tol) (relative to the spectral radius when
     that exceeds 1), the whole stack is compressed onto each cluster and
-    the recursion continues there.  A block on which every member is
-    scalar within the same gap is final; one that refuses to split after
-    a few fresh words is returned as-is, and the caller's own residual
-    checks decide whether that is acceptable.
+    the recursion continues there (a cluster of one eigenvalue is final
+    at once).  A block on which every member is scalar within the same
+    gap is final; one that refuses to split after a few fresh words is
+    returned as-is, and the caller's own residual checks decide whether
+    that is acceptable.
 
     Returns m x d isometries with mutually orthogonal ranges that
     together span C^m, in a fixed order.  Deterministic for fixed
@@ -302,6 +300,9 @@ def split_hermitian(family, tol: float, rng) -> list[np.ndarray]:
             blocks = []
             for cl in clusters:
                 S = U[:, cl]
-                blocks += [S @ V for V in split_hermitian(adjoint(S) @ family @ S, tol, rng)]
+                if len(cl) == 1:  # final; S @ I turns eigh's -0.0 imaginary parts to +0.0
+                    blocks.append(S @ np.eye(1, dtype=complex))
+                else:
+                    blocks += [S @ V for V in split_hermitian(adjoint(S) @ family @ S, tol, rng)]
             return blocks
     return [np.eye(m, dtype=complex)]

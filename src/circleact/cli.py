@@ -17,9 +17,11 @@ anything is allocated.  Running out of memory on any other input exits
 2 as well: nothing was measured, and the input asked for more than the
 machine has.
 
-Identical invocations produce byte identical output except for the
-"timestamp" field, which --reproducible suppresses.  The text written is
-exactly ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline.
+Identical invocations produce byte identical output, except for the
+"timestamp" field that --reproducible suppresses, on the same BLAS kernel
+with the same thread count and library versions; another BLAS kernel may
+change the last digits of floats.  The text written is exactly
+``json.dumps(payload, indent=2, sort_keys=True)`` and a newline.
 """
 
 from __future__ import annotations

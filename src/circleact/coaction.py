@@ -33,6 +33,7 @@ import numpy as np
 from .linalg import (
     DimensionMismatch,
     SchemaError,
+    _matrix_to_json,
     adjoint,
     as_matrix,
     as_vector,
@@ -88,7 +89,8 @@ class LinearObject:
         _store_square(self, self.n, ("A", "B"))
 
     def to_json(self) -> dict:
-        return {"n": self.n, "A": matrix_to_json(self.A), "B": matrix_to_json(self.B)}
+        # A and B were validated when the object was built.
+        return {"n": self.n, "A": _matrix_to_json(self.A), "B": _matrix_to_json(self.B)}
 
     @classmethod
     def from_json(cls, obj, *, path: str = "object") -> "LinearObject":

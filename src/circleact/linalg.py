@@ -156,10 +156,17 @@ def split_by_gaps(values: np.ndarray, gap: float) -> list[np.ndarray]:
 
 def matrix_to_json(M: np.ndarray) -> dict:
     """Serialize to {"rows", "cols", "data"} with row-major [re, im] pairs."""
-    M = as_matrix(M)
-    rows, cols = M.shape
-    data = np.stack([M.real, M.imag], -1).reshape(-1, 2).tolist()
-    return {"rows": rows, "cols": cols, "data": data}
+    return _matrix_to_json(as_matrix(M))
+
+
+def _matrix_to_json(M: np.ndarray) -> dict:
+    """``matrix_to_json`` of a matrix that ``as_matrix`` already returned."""
+    return {"rows": M.shape[0], "cols": M.shape[1], "data": _pairs(M)}
+
+
+def _pairs(v: np.ndarray) -> list:
+    """The row-major [re, im] pairs of a complex array, read as float64."""
+    return np.ascontiguousarray(v).view(np.float64).reshape(-1, 2).tolist()
 
 
 def matrix_from_json(obj, *, path: str = "matrix") -> np.ndarray:
@@ -170,7 +177,7 @@ def matrix_from_json(obj, *, path: str = "matrix") -> np.ndarray:
 def vector_to_json(v: np.ndarray) -> dict:
     """Serialize to {"dim", "data"} with [re, im] pairs."""
     v = as_vector(v)
-    return {"dim": int(v.size), "data": np.stack([v.real, v.imag], -1).tolist()}
+    return {"dim": int(v.size), "data": _pairs(v)}
 
 
 def vector_from_json(obj, *, path: str = "vector") -> np.ndarray:

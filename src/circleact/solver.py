@@ -178,7 +178,10 @@ class SolverConfig:
 
     def __post_init__(self):
         for name, least in (("n", 1), ("restarts", 1), ("max_iters", 1), ("seed", 0)):
-            if getattr(self, name) < least:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
                 raise ValueError(f"{name} must be at least {least}")
         if self.n > SOLVE_MAX_N:
             raise ValueError(f"n must be at most {SOLVE_MAX_N}")

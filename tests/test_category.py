@@ -5,6 +5,7 @@ import pytest
 
 from circleact.category import (
     DecompositionFailure,
+    _certified_decomposition,
     _decompose_commutant,
     check_snake,
     conjugate_object,
@@ -388,6 +389,128 @@ class TestDecomposeRoutes:
         for (l1, V1), (l2, V2) in zip(d1.summands, d2.summands):
             assert np.array_equal(V1, V2)
             assert np.array_equal(l1.A, l2.A) and np.array_equal(l1.B, l2.B)
+
+
+def oracle_certify(X, summands, tol):
+    """The per-summand loop that the stacked check replaced: the message of
+    the first failure, or None."""
+    n = X.n
+    check_tol = tol * np.sqrt(n)
+    total = np.zeros((n, n), dtype=complex)
+    for leaf, V in summands:
+        total = total + V @ adjoint(V)
+        if frobenius(adjoint(V) @ V - np.eye(leaf.n)) > check_tol:
+            return "summand isometry is not orthonormal"
+        if frobenius(X.A @ V - V @ leaf.A) > check_tol:
+            return "summand does not intertwine the +1 coefficient"
+        if frobenius(X.B @ V - V @ leaf.B) > check_tol:
+            return "summand does not intertwine the -1 coefficient"
+    if frobenius(total - np.eye(n)) > check_tol:
+        return "summand isometries do not resolve the identity"
+    return None
+
+
+def _with_irreducible_block():
+    """A 2 x 2 irreducible block (A = UP, B = U(I - P)) beside three characters."""
+    c, s = np.cos(0.7), np.sin(0.7)
+    U, P = np.array([[c, -s], [s, c]]), np.diag([1.0, 0.0])
+    return direct_sum(LinearObject(2, U @ P, U @ (np.eye(2) - P)), sample_classical(3, seed=7).object)
+
+
+class TestCertifiedDecomposition:
+    """Each check of ``_certified_decomposition`` on crafted summand lists,
+    the order in which failures are reported, and the loop it replaced."""
+
+    ORTHONORMAL = "^summand isometry is not orthonormal$"
+    PLUS = r"^summand does not intertwine the \+1 coefficient$"
+    MINUS = "^summand does not intertwine the -1 coefficient$"
+    COMPLETE = "^summand isometries do not resolve the identity$"
+
+    @staticmethod
+    def summands(X, seed=0):
+        return list(decompose(X, seed=seed).summands)
+
+    @staticmethod
+    def bent(summand, dA=0.0, dB=0.0, scale=1.0):
+        leaf, V = summand
+        d = np.eye(leaf.n)
+        return LinearObject(leaf.n, leaf.A + dA * d, leaf.B + dB * d), scale * V
+
+    X = sample_classical(3, seed=7).object
+    Y = _with_irreducible_block()  # blocks of two sizes
+
+    def test_valid_summands_pass(self):
+        for Z in (self.X, self.Y):
+            parts = self.summands(Z)
+            assert _certified_decomposition(Z, parts, 1e-9, 0).summands == tuple(parts)
+        assert sorted(leaf.n for leaf, _ in self.summands(self.Y)) == [1, 1, 1, 2]
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"scale": 1.5}, ORTHONORMAL),
+            ({"dA": 0.1}, PLUS),
+            ({"dB": 0.1}, MINUS),
+        ],
+        ids=["orthonormal", "plus", "minus"],
+    )
+    @pytest.mark.parametrize("which", ["X", "Y"])
+    def test_each_summand_check(self, change, message, which):
+        Z = getattr(self, which)
+        parts = self.summands(Z)
+        for k in range(len(parts)):
+            broken = list(parts)
+            broken[k] = self.bent(parts[k], **change)
+            with pytest.raises(DecompositionFailure, match=message):
+                _certified_decomposition(Z, broken, 1e-9, 0)
+
+    @pytest.mark.parametrize("which", ["X", "Y"])
+    def test_dropped_summand_is_incomplete(self, which):
+        Z = getattr(self, which)
+        parts = self.summands(Z)
+        for k in range(len(parts)):
+            with pytest.raises(DecompositionFailure, match=self.COMPLETE):
+                _certified_decomposition(Z, parts[:k] + parts[k + 1 :], 1e-9, 0)
+
+    @pytest.mark.parametrize("which", ["X", "Y"])
+    def test_agrees_with_the_per_summand_loop(self, which):
+        Z = getattr(self, which)
+        parts = self.summands(Z)
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            crafted = [
+                self.bent(p, *rng.choice([0.0, 0.1], 2), rng.choice([1.0, 1.5]))
+                if rng.random() < 0.3 else p
+                for p in parts
+            ]
+            if rng.random() < 0.2:
+                del crafted[rng.integers(len(crafted))]
+            try:
+                _certified_decomposition(Z, crafted, 1e-9, 0)
+                got = None
+            except DecompositionFailure as exc:
+                got = str(exc)
+            assert got == oracle_certify(Z, crafted, 1e-9)
+
+    def test_first_failing_summand_is_reported(self):
+        # Summand 0 fails the -1 check, summand 1 fails orthonormality.
+        parts = self.summands(self.X)
+        parts[0] = self.bent(parts[0], dB=0.1)
+        parts[1] = self.bent(parts[1], scale=1.5)
+        with pytest.raises(DecompositionFailure, match=self.MINUS):
+            _certified_decomposition(self.X, parts, 1e-9, 0)
+
+    def test_first_failing_check_of_a_summand_is_reported(self):
+        # One summand failing all three checks reports orthonormality; the
+        # +1 check comes before the -1 check; a summand failure comes
+        # before completeness.
+        parts = self.summands(self.X)
+        with pytest.raises(DecompositionFailure, match=self.ORTHONORMAL):
+            _certified_decomposition(self.X, [self.bent(parts[0], 0.1, 0.1, 1.5)] + parts[1:], 1e-9, 0)
+        with pytest.raises(DecompositionFailure, match=self.PLUS):
+            _certified_decomposition(self.X, [self.bent(parts[0], 0.1, 0.1)] + parts[1:], 1e-9, 0)
+        with pytest.raises(DecompositionFailure, match=self.MINUS):
+            _certified_decomposition(self.X, [self.bent(parts[0], dB=0.1)] + parts[1:-1], 1e-9, 0)
 
 
 class TestSplitHermitian:

@@ -295,6 +295,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SolverConfig(n=1, step_init=0.0)
 
+    @pytest.mark.parametrize("value", [2.0, True, "2", None, np.int64(2)])
+    @pytest.mark.parametrize("field", ["n", "restarts", "max_iters", "seed"])
+    def test_non_int_integer_field(self, field, value):
+        # Refused here, a float n cannot reach solve, whose TypeError would
+        # name no field.
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            SolverConfig(**{"n": 2, "restarts": 1, field: value})
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, 0.0])
     @pytest.mark.parametrize("field", ["residual_tol", "grad_tol", "step_init"])
     def test_non_finite_or_non_positive_float(self, field, value):

@@ -1,0 +1,128 @@
+"""The seeded splitter against its oracle.
+
+The oracle is the splitter that recursed into every eigenvalue cluster,
+a single eigenvalue included, only to find such a block final there.
+``circleact.certify.split_hermitian`` appends a one-eigenvalue cluster
+S as S @ I at once.  The recursion returned the 1 x 1 identity before
+drawing from the generator, and S @ I is the product it appended, so
+the blocks must agree bit for bit (signed zeros included) and the
+generator must be left in the same state.
+"""
+
+import numpy as np
+import pytest
+
+from circleact.category import conjugate_object, direct_sum, morphism_space, tensor_product
+from circleact.certify import split_hermitian
+from circleact.coaction import LinearObject
+from circleact.linalg import adjoint, hermitian_eig, split_by_gaps
+from circleact.solver import sample_classical
+
+
+def oracle_split(family, tol, rng):
+    """Split a Hermitian family into joint blocks, recursing into every cluster."""
+    m = family.shape[-1]
+    gap_tol = max(1e-7, 100.0 * tol)
+    means = np.trace(family, axis1=1, axis2=2)[:, None, None] / m
+    if m == 1 or np.all(np.linalg.norm(family - means * np.eye(m), axis=(1, 2)) <= gap_tol):
+        return [np.eye(m, dtype=complex)]
+    for _ in range(6):
+        H = np.tensordot(rng.standard_normal(len(family)), family, axes=1)
+        w, U = hermitian_eig(H)
+        scale = max(1.0, float(np.max(np.abs(w))))
+        clusters = split_by_gaps(w, gap_tol * scale)
+        if len(clusters) > 1:
+            blocks = []
+            for cl in clusters:
+                S = U[:, cl]
+                blocks += [S @ V for V in oracle_split(adjoint(S) @ family @ S, tol, rng)]
+            return blocks
+    return [np.eye(m, dtype=complex)]
+
+
+def generators(X):
+    """The classical route's family: the Hermitian parts of A and B."""
+    A, B = X.A, X.B
+    return np.stack([A + adjoint(A), 1j * (A - adjoint(A)), B + adjoint(B), 1j * (B - adjoint(B))])
+
+
+def commutant(X):
+    """The commutant route's family: the Hermitian parts of End(X)."""
+    basis = np.stack(morphism_space(X, X).basis)
+    basis_h = basis.conj().transpose(0, 2, 1)
+    return np.concatenate([basis + basis_h, 1j * (basis - basis_h)]) / 2.0
+
+
+def seeded(seed, n):
+    return np.random.default_rng(np.random.SeedSequence((seed, n)))
+
+
+def assert_same_split(family, seed, tol=1e-9):
+    n = family.shape[-1]
+    rng, oracle_rng = seeded(seed, n), seeded(seed, n)
+    got = split_hermitian(family, tol, rng)
+    want = oracle_split(family, tol, oracle_rng)
+    assert [V.shape for V in got] == [V.shape for V in want]
+    assert [V.tobytes() for V in got] == [V.tobytes() for V in want]
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    return got
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_sampled_generators(n):
+    for seed in range(3):
+        assert_same_split(generators(sample_classical(n, seed=seed).object), seed)
+
+
+FACTORS = [(a, b) for a in range(1, 7) for b in range(1, 7)]
+
+
+@pytest.mark.parametrize("a, b", FACTORS, ids=[f"{a}x{b}" for a, b in FACTORS])
+def test_fused_generators(a, b):
+    Z = tensor_product(sample_classical(a, seed=a).object, sample_classical(b, seed=10 + b).object)
+    assert_same_split(generators(Z), a * b)
+
+
+def _rotation_times_projection(m, seed):
+    # A = UP and B = U(I - P): valid, not normal.
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    P = np.diag([1.0] * (m // 2) + [0.0] * (m - m // 2))
+    return LinearObject(m, U @ P, U @ (np.eye(m) - P))
+
+
+NON_COMMUTATIVE = {
+    "X3_conjX3": lambda s: tensor_product(
+        sample_classical(3, seed=s).object, conjugate_object(sample_classical(3, seed=s).object)
+    ),
+    "X4_conjX4": lambda s: tensor_product(
+        sample_classical(4, seed=s).object, conjugate_object(sample_classical(4, seed=s).object)
+    ),
+    "X3_sum_X3": lambda s: direct_sum(sample_classical(3, seed=s).object,
+                                      sample_classical(3, seed=s).object),
+    "X8_sum_X8": lambda s: direct_sum(sample_classical(8, seed=s).object,
+                                      sample_classical(8, seed=s).object),
+    "UP_2": lambda s: _rotation_times_projection(2, s),
+    "UP_9": lambda s: _rotation_times_projection(9, s),
+    "UP_2_sum_X3": lambda s: direct_sum(_rotation_times_projection(2, s),
+                                        sample_classical(3, seed=s).object),
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("build", NON_COMMUTATIVE.values(), ids=NON_COMMUTATIVE.keys())
+def test_commutant_families(build, seed):
+    assert_same_split(commutant(build(seed)), seed)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_signed_zeros_of_eigh_are_normalized_as_before(n):
+    # The first word has a one-eigenvalue cluster whose eigenvector carries
+    # a -0.0 imaginary part.  The recursion appended it as S @ I, which
+    # can turn -0.0 into +0.0; appending S bare would change output bytes.
+    family = generators(sample_classical(n, seed=1).object)
+    H = np.tensordot(seeded(0, n).standard_normal(len(family)), family, axes=1)
+    w, U = hermitian_eig(H)
+    singles = [cl[0] for cl in split_by_gaps(w, 1e-7 * max(1.0, np.abs(w).max())) if len(cl) == 1]
+    assert (np.signbit(U[:, singles].imag) & (U[:, singles].imag == 0)).any()
+    assert_same_split(family, 0)
