@@ -25,8 +25,8 @@ from .certify import (
     AmbiguousSlot,
     NotSimultaneouslyDiagonalizable,
     _joint_diagonal,
+    _seeded_split,
     certify_commutativity,
-    split_hermitian,
 )
 
 
@@ -127,17 +127,17 @@ def decompose(X: LinearObject, tol: float = 1e-9, seed: int = 0) -> Decompositio
        them has a *-closed End(X), since every intertwiner commutes
        with the unitary U = A + B and the projection P = A*A.
     2. The classical route, taken when ``certify_commutativity`` passes:
-       the common eigenbasis W of ``classical_form``'s core, with the
-       W* A W and W* B W it formed.  Each column of W is an isometry onto
-       a one dimensional summand, whose coefficients are their diagonals.
+       the common eigenbasis W of ``classical_form``'s core, split into
+       its n columns, each an isometry onto a one dimensional summand.
     3. The commutant route, taken when the commutativity residuals fail
        or the core raises NotSimultaneouslyDiagonalizable or
        AmbiguousSlot: ``_decompose_commutant`` splits End(X).
 
-    Whichever route ran, the summands are then certified over their
-    stacked isometry (orthonormal columns, complete, intertwining within
-    tol*sqrt(n)); any failure raises DecompositionFailure.  Nothing is
-    certified by construction.
+    Either route hands its stacked isometry W = [V_1 ... V_k] and block
+    widths to ``_certified_decomposition``, which certifies the leaves it
+    cuts from W* A W and W* B W; any failure raises DecompositionFailure,
+    and nothing is certified by construction.  A seed that is not a
+    non-negative int raises ValueError.
 
     Deterministic for fixed (X, tol, seed); summands come out ordered by
     the eigenvalue clusters of the random words.
@@ -148,30 +148,23 @@ def decompose(X: LinearObject, tol: float = 1e-9, seed: int = 0) -> Decompositio
     if not certify_commutativity(X, tol).overall_pass:
         return _decompose_commutant(X, tol, seed)
     try:
-        W, Ad, Bd = _joint_diagonal(X, tol, seed)
+        W, _, _ = _joint_diagonal(X, tol, seed)
     except (NotSimultaneouslyDiagonalizable, AmbiguousSlot):
         return _decompose_commutant(X, tol, seed)
-    summands = [
-        (LinearObject(1, Ad[i : i + 1, i : i + 1], Bd[i : i + 1, i : i + 1]), W[:, i : i + 1])
-        for i in range(X.n)
-    ]
-    return _certified_decomposition(X, summands, tol, seed)
+    return _certified_decomposition(X, W, [1] * X.n, tol, seed)
 
 
 def _decompose_commutant(X: LinearObject, tol: float, seed: int) -> Decomposition:
     """Split X along its self morphism space End(X).
 
-    End(X) is computed once, and the Hermitian parts of its basis are
-    handed to the shared splitter ``split_hermitian``.  For a projection
-    P in End(X) the commutant of the compressed candidate is P End(X) P,
-    so compressing the root basis stands in for recomputing a morphism
-    space at every node.  End(X) always contains the identity, so an
-    empty one means tol is below the noise floor and raises
-    DecompositionFailure.  A leaf of dimension > 1 must have a one
-    dimensional self morphism space; when nothing splits, the leaf is X
-    and that space is End(X), which is not computed again.  This route
-    needs no commutativity, and it is the independent oracle for the
-    classical route.
+    End(X) is computed once and its basis stack split by ``_seeded_split``:
+    for a projection P in End(X) the commutant of the compressed candidate
+    is P End(X) P, so no node recomputes a morphism space.  An empty End(X)
+    means tol is below the noise floor (the identity always intertwines)
+    and raises DecompositionFailure.  Each certified leaf of dimension > 1
+    must have a one dimensional self morphism space; an unsplit leaf is X,
+    whose End(X) is not computed again.  This route needs no
+    commutativity; it is the independent oracle for the classical route.
     """
     mor = morphism_space(X, X, tol)
     if mor.dim == 0:
@@ -179,43 +172,34 @@ def _decompose_commutant(X: LinearObject, tol: float, seed: int) -> Decompositio
             f"the self morphism space is empty at tol={tol:g}; the identity always "
             "intertwines, so the tolerance is below the numerical noise floor"
         )
-    basis = np.stack(mor.basis)
-    basis_h = basis.conj().transpose(0, 2, 1)
-    family = np.concatenate([basis + basis_h, 1j * (basis - basis_h)]) / 2.0
-    rng = np.random.default_rng(np.random.SeedSequence((seed, X.n)))
-    summands = []
-    blocks = split_hermitian(family, tol, rng)
-    for V in blocks:
-        leaf = LinearObject(V.shape[1], adjoint(V) @ X.A @ V, adjoint(V) @ X.B @ V)
-        if leaf.n > 1:
-            # An unsplit block is X itself, whose self morphism space is mor.
-            end = mor if len(blocks) == 1 else morphism_space(leaf, leaf, tol)
-            if end.dim != 1:
-                raise DecompositionFailure("no splitting word found for a reducible candidate")
-        summands.append((leaf, V))
-    return _certified_decomposition(X, summands, tol, seed)
+    blocks = _seeded_split(np.stack(mor.basis), tol, seed)
+    dims = [V.shape[1] for V in blocks]
+    decomp = _certified_decomposition(X, np.hstack(blocks), dims, tol, seed)
+    for leaf, _ in decomp.summands:
+        # An unsplit block is X itself, whose self morphism space is mor.
+        if leaf.n > 1 and (mor if len(blocks) == 1 else morphism_space(leaf, leaf, tol)).dim != 1:
+            raise DecompositionFailure("no splitting word found for a reducible candidate")
+    return decomp
 
 
 def _certified_decomposition(
-    X: LinearObject, summands: list, tol: float, seed: int
+    X: LinearObject, W: np.ndarray, dims: list, tol: float, seed: int
 ) -> Decomposition:
-    """Check the summands of X at tol*sqrt(n) and wrap them up.
+    """Certify the summands of X cut from W by dims at tol*sqrt(n).
 
-    Over W = [V_1 ... V_k] and the leaves laid block-diagonally in L_A, L_B,
-    the checks are W*W - I on the diagonal blocks, X.A W - W L_A, X.B W - W L_B
+    The leaves L_A, L_B are the diagonal blocks of W* A W and W* B W.  The
+    checks are W*W - I on the diagonal blocks, X.A W - W L_A, X.B W - W L_B
     (each read per summand's columns; the first failing summand and check is
-    reported), then W W* - I."""
+    reported), then W W* - I; only then is each (leaf, V_i) built."""
     n = X.n
     check_tol = tol * np.sqrt(n)
-    W = np.hstack([V for _, V in summands])
-    dims = [leaf.n for leaf, _ in summands]
     starts = np.cumsum([0, *dims[:-1]])
-    LA, LB = np.zeros((2, W.shape[1], W.shape[1]), dtype=complex)
-    for (leaf, _), i, d in zip(summands, starts, dims):
-        LA[i : i + d, i : i + d], LB[i : i + d, i : i + d] = leaf.A, leaf.B
     block = np.repeat(np.arange(len(dims)), dims)
+    mask = block[:, None] == block
+    # np.where, not a product with mask: that would turn -0.0 into +0.0.
+    LA, LB = (np.where(mask, adjoint(W) @ M @ W, 0) for M in (X.A, X.B))
     residuals = (
-        (adjoint(W) @ W - np.eye(W.shape[1])) * (block[:, None] == block),
+        (adjoint(W) @ W - np.eye(W.shape[1])) * mask,
         X.A @ W - W @ LA,
         X.B @ W - W @ LB,
     )
@@ -229,7 +213,11 @@ def _certified_decomposition(
         )
     if not frobenius(W @ adjoint(W) - np.eye(n)) <= check_tol:
         raise DecompositionFailure("summand isometries do not resolve the identity")
-    return Decomposition(X, tuple(summands), seed)
+    summands = tuple(
+        (LinearObject(d, LA[i : i + d, i : i + d], LB[i : i + d, i : i + d]), W[:, i : i + d])
+        for i, d in zip(starts.tolist(), dims)
+    )
+    return Decomposition(X, summands, seed)
 
 
 def check_snake(s, t, n: int, tol: float = 1e-9) -> CertificateReport:

@@ -232,9 +232,7 @@ def _classical_form(obj: LinearObject, tol: float, seed: int) -> ClassicalDecomp
 def _joint_diagonal(obj: LinearObject, tol: float, seed: int):
     """The common eigenbasis W, W* A W and W* B W: diagonal, one character per slot."""
     A, B, n = obj.A, obj.B, obj.n
-    gens = [A + adjoint(A), 1j * (A - adjoint(A)), B + adjoint(B), 1j * (B - adjoint(B))]
-    rng = np.random.default_rng(np.random.SeedSequence((seed, n)))
-    W = np.hstack(split_hermitian(np.stack(gens), tol, rng))
+    W = np.hstack(_seeded_split(np.stack([A, B]), tol, seed))
 
     Ad = adjoint(W) @ A @ W
     Bd = adjoint(W) @ B @ W
@@ -261,6 +259,18 @@ def _require_valid_pair(pair: ConjugatePair, tol: float) -> None:
     check_conjugate_matrix(pair, tol).require(
         "pair fails the matrix level duality equations", ConstraintViolation
     )
+
+
+def _seeded_split(mats: np.ndarray, tol: float, seed: int) -> list[np.ndarray]:
+    """Split a (k, m, m) stack along the Hermitian parts T + T*, i(T - T*)
+    of each member T in turn, drawing words from a generator seeded by
+    (seed, m).  Both decomposition routes split through here."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    m = mats.shape[-1]
+    mats_h = mats.conj().transpose(0, 2, 1)
+    family = np.stack([mats + mats_h, 1j * (mats - mats_h)], axis=1).reshape(-1, m, m)
+    return split_hermitian(family, tol, np.random.default_rng(np.random.SeedSequence((seed, m))))
 
 
 def split_hermitian(family, tol: float, rng) -> list[np.ndarray]:

@@ -86,6 +86,8 @@ class LinearObject:
     B: np.ndarray
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
+            raise ValueError(f"n must be a positive integer, got {self.n!r}")
         _store_square(self, self.n, ("A", "B"))
 
     def to_json(self) -> dict:

@@ -15,7 +15,7 @@ from circleact.category import (
     morphism_space,
     tensor_product,
 )
-from circleact.certify import canonical_dual, classical_form, split_hermitian
+from circleact.certify import _joint_diagonal, canonical_dual, classical_form, split_hermitian
 from circleact.coaction import (
     ConjugatePair,
     LinearObject,
@@ -51,6 +51,13 @@ def kind_phase_multiset(decomp):
         a, b = complex(leaf.A[0, 0]), complex(leaf.B[0, 0])
         out.append(("rotation", a) if abs(a) >= abs(b) else ("reflection", b))
     return sorted(out, key=lambda kz: (kz[0], round(kz[1].real, 6), round(kz[1].imag, 6)))
+
+
+def _with_irreducible_block():
+    """A 2 x 2 irreducible block (A = UP, B = U(I - P)) beside three characters."""
+    c, s = np.cos(0.7), np.sin(0.7)
+    U, P = np.array([[c, -s], [s, c]]), np.diag([1.0, 0.0])
+    return direct_sum(LinearObject(2, U @ P, U @ (np.eye(2) - P)), sample_classical(3, seed=7).object)
 
 
 class TestDirectSum:
@@ -309,6 +316,15 @@ class TestDecomposeRoutes:
         with pytest.raises(DecompositionFailure, match="self morphism space is empty"):
             _decompose_commutant(X, 1e-30, 0)
 
+    @pytest.mark.parametrize("seed", [-1, True, 1.0], ids=["negative", "bool", "float"])
+    @pytest.mark.parametrize("route", [decompose, _decompose_commutant])
+    @pytest.mark.parametrize("build", [lambda: sample_classical(3, seed=1).object,
+                                       _with_irreducible_block], ids=["classical", "commutant"])
+    def test_seed_must_be_a_non_negative_int(self, route, build, seed):
+        message = f"^seed must be a non-negative integer, got {seed!r}$"
+        with pytest.raises(ValueError, match=message):
+            route(build(), 1e-9, seed)
+
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize(
         "build",
@@ -391,126 +407,186 @@ class TestDecomposeRoutes:
             assert np.array_equal(l1.A, l2.A) and np.array_equal(l1.B, l2.B)
 
 
-def oracle_certify(X, summands, tol):
-    """The per-summand loop that the stacked check replaced: the message of
-    the first failure, or None."""
+FACTORS = [(a, b) for a in range(1, 7) for b in range(1, 7)]
+
+
+@pytest.mark.parametrize(
+    "x, y", [*FACTORS, (8, 8)], ids=[f"{a}x{b}" for a, b in FACTORS] + ["8x8"]
+)
+def test_classical_route_keeps_the_bits_of_the_joint_diagonal(monkeypatch, x, y):
+    # The leaves are the diagonals of W* A W and W* B W as the core formed
+    # them, and the isometries the columns of W, bit for bit: the fuse
+    # output bytes rest on this.
+    Z = tensor_product(sample_classical(x, seed=x).object, sample_classical(y, seed=10 + y).object)
+    W, Ad, Bd = _joint_diagonal(Z, 1e-9, 3)
+    refuse_commutant_route(monkeypatch)
+    summands = decompose(Z, seed=3).summands
+    assert [leaf.n for leaf, _ in summands] == [1] * Z.n
+    assert np.array([leaf.A[0, 0] for leaf, _ in summands]).tobytes() == np.diag(Ad).tobytes()
+    assert np.array([leaf.B[0, 0] for leaf, _ in summands]).tobytes() == np.diag(Bd).tobytes()
+    assert np.hstack([V for _, V in summands]).tobytes() == W.tobytes()
+
+
+def oracle_certify(X, W, dims, tol):
+    """The per-summand loop that the stacked check replaced, on the leaves
+    V* A V and V* B V of each block V of W: the message of the first
+    failure, or None."""
     n = X.n
     check_tol = tol * np.sqrt(n)
     total = np.zeros((n, n), dtype=complex)
-    for leaf, V in summands:
+    for i, d in zip(np.cumsum([0, *dims[:-1]]), dims):
+        V = W[:, i : i + d]
         total = total + V @ adjoint(V)
-        if frobenius(adjoint(V) @ V - np.eye(leaf.n)) > check_tol:
+        if frobenius(adjoint(V) @ V - np.eye(d)) > check_tol:
             return "summand isometry is not orthonormal"
-        if frobenius(X.A @ V - V @ leaf.A) > check_tol:
+        if frobenius(X.A @ V - V @ (adjoint(V) @ X.A @ V)) > check_tol:
             return "summand does not intertwine the +1 coefficient"
-        if frobenius(X.B @ V - V @ leaf.B) > check_tol:
+        if frobenius(X.B @ V - V @ (adjoint(V) @ X.B @ V)) > check_tol:
             return "summand does not intertwine the -1 coefficient"
     if frobenius(total - np.eye(n)) > check_tol:
         return "summand isometries do not resolve the identity"
     return None
 
 
-def _with_irreducible_block():
-    """A 2 x 2 irreducible block (A = UP, B = U(I - P)) beside three characters."""
-    c, s = np.cos(0.7), np.sin(0.7)
-    U, P = np.array([[c, -s], [s, c]]), np.diag([1.0, 0.0])
-    return direct_sum(LinearObject(2, U @ P, U @ (np.eye(2) - P)), sample_classical(3, seed=7).object)
+def scaled(W, k, factor=1.5):
+    """W with column k scaled: that column is no longer a unit vector."""
+    W = W.copy()
+    W[:, k] *= factor
+    return W
+
+
+def mixed(W, i, j, angle=0.6):
+    """W with columns i and j rotated into each other: W stays unitary, but
+    summands holding different characters no longer intertwine."""
+    W = W.copy()
+    c, s = np.cos(angle), np.sin(angle)
+    W[:, [i, j]] = W[:, [i, j]] @ np.array([[c, -s], [s, c]])
+    return W
+
+
+def dropped(W, dims, k):
+    """W and dims without summand k: the rest no longer resolves the identity."""
+    i = sum(dims[:k])
+    return np.delete(W, np.s_[i : i + dims[k]], axis=1), dims[:k] + dims[k + 1 :]
 
 
 class TestCertifiedDecomposition:
-    """Each check of ``_certified_decomposition`` on crafted summand lists,
-    the order in which failures are reported, and the loop it replaced."""
+    """Each check of ``_certified_decomposition`` on isometries W crafted
+    from a valid one, the order in which failures are reported, and the
+    loop it replaced."""
 
     ORTHONORMAL = "^summand isometry is not orthonormal$"
     PLUS = r"^summand does not intertwine the \+1 coefficient$"
     MINUS = "^summand does not intertwine the -1 coefficient$"
     COMPLETE = "^summand isometries do not resolve the identity$"
 
-    @staticmethod
-    def summands(X, seed=0):
-        return list(decompose(X, seed=seed).summands)
-
-    @staticmethod
-    def bent(summand, dA=0.0, dB=0.0, scale=1.0):
-        leaf, V = summand
-        d = np.eye(leaf.n)
-        return LinearObject(leaf.n, leaf.A + dA * d, leaf.B + dB * d), scale * V
-
-    X = sample_classical(3, seed=7).object
+    X = sample_classical(3, seed=8).object  # a reflection, a rotation, a reflection
     Y = _with_irreducible_block()  # blocks of two sizes
+
+    @staticmethod
+    def split(Z, seed=0):
+        """The stacked isometry W and the block widths that decompose certified."""
+        summands = decompose(Z, seed=seed).summands
+        return np.hstack([V for _, V in summands]), [leaf.n for leaf, _ in summands]
+
+    @staticmethod
+    def columns(Z, W, dims):
+        """Per column: its summand, and whether A or B moves it (a rotation
+        column, or the first column of the 2 x 2 block, carries A)."""
+        block = np.repeat(np.arange(len(dims)), dims)
+        carries_a = np.linalg.norm(Z.A @ W, axis=0) > 0.5
+        reflection = ~carries_a & np.isin(block, np.flatnonzero(np.array(dims) == 1))
+        return block, carries_a, reflection
+
+    def crafted(self, Z, change):
+        """Every crafted W for one kind of change, with the dims it keeps."""
+        W, dims = self.split(Z)
+        block, carries_a, reflection = self.columns(Z, W, dims)
+        pairs = [(i, j) for i in range(Z.n) for j in range(i + 1, Z.n) if block[i] != block[j]]
+        if change == "orthonormal":
+            return [scaled(W, k) for k in range(Z.n)]
+        if change == "plus":  # a column A moves, mixed with one it does not
+            return [mixed(W, i, j) for i, j in pairs if carries_a[i] != carries_a[j]]
+        # Two reflections of different phases: A is 0 on both, B is not scalar.
+        return [mixed(W, i, j) for i, j in pairs if reflection[i] and reflection[j]]
 
     def test_valid_summands_pass(self):
         for Z in (self.X, self.Y):
-            parts = self.summands(Z)
-            assert _certified_decomposition(Z, parts, 1e-9, 0).summands == tuple(parts)
-        assert sorted(leaf.n for leaf, _ in self.summands(self.Y)) == [1, 1, 1, 2]
+            want = decompose(Z).summands
+            got = _certified_decomposition(Z, *self.split(Z), 1e-9, 0).summands
+            assert [(l.n, l.A.tobytes(), l.B.tobytes(), V.tobytes()) for l, V in got] == [
+                (l.n, l.A.tobytes(), l.B.tobytes(), V.tobytes()) for l, V in want
+            ]
+        assert sorted(self.split(self.Y)[1]) == [1, 1, 1, 2]
 
     @pytest.mark.parametrize(
         "change, message",
-        [
-            ({"scale": 1.5}, ORTHONORMAL),
-            ({"dA": 0.1}, PLUS),
-            ({"dB": 0.1}, MINUS),
-        ],
+        [("orthonormal", ORTHONORMAL), ("plus", PLUS), ("minus", MINUS)],
         ids=["orthonormal", "plus", "minus"],
     )
     @pytest.mark.parametrize("which", ["X", "Y"])
     def test_each_summand_check(self, change, message, which):
         Z = getattr(self, which)
-        parts = self.summands(Z)
-        for k in range(len(parts)):
-            broken = list(parts)
-            broken[k] = self.bent(parts[k], **change)
+        dims = self.split(Z)[1]
+        cases = self.crafted(Z, change)
+        assert cases
+        for W in cases:
             with pytest.raises(DecompositionFailure, match=message):
-                _certified_decomposition(Z, broken, 1e-9, 0)
+                _certified_decomposition(Z, W, dims, 1e-9, 0)
 
     @pytest.mark.parametrize("which", ["X", "Y"])
     def test_dropped_summand_is_incomplete(self, which):
         Z = getattr(self, which)
-        parts = self.summands(Z)
-        for k in range(len(parts)):
+        W, dims = self.split(Z)
+        for k in range(len(dims)):
             with pytest.raises(DecompositionFailure, match=self.COMPLETE):
-                _certified_decomposition(Z, parts[:k] + parts[k + 1 :], 1e-9, 0)
+                _certified_decomposition(Z, *dropped(W, dims, k), 1e-9, 0)
 
     @pytest.mark.parametrize("which", ["X", "Y"])
     def test_agrees_with_the_per_summand_loop(self, which):
         Z = getattr(self, which)
-        parts = self.summands(Z)
+        W0, dims0 = self.split(Z)
         rng = np.random.default_rng(5)
+        outcomes = set()
         for _ in range(60):
-            crafted = [
-                self.bent(p, *rng.choice([0.0, 0.1], 2), rng.choice([1.0, 1.5]))
-                if rng.random() < 0.3 else p
-                for p in parts
-            ]
+            W, dims = W0, dims0
+            if rng.random() < 0.4:
+                W = mixed(W, *rng.choice(Z.n, 2, replace=False), rng.uniform(0.3, 1.2))
+            if rng.random() < 0.3:
+                W = scaled(W, rng.integers(Z.n))
             if rng.random() < 0.2:
-                del crafted[rng.integers(len(crafted))]
+                W, dims = dropped(W, dims, rng.integers(len(dims)))
             try:
-                _certified_decomposition(Z, crafted, 1e-9, 0)
+                _certified_decomposition(Z, W, dims, 1e-9, 0)
                 got = None
             except DecompositionFailure as exc:
                 got = str(exc)
-            assert got == oracle_certify(Z, crafted, 1e-9)
+            assert got == oracle_certify(Z, W, dims, 1e-9)
+            outcomes.add(got)
+        assert len(outcomes) == 5  # a pass and each of the four failures
 
     def test_first_failing_summand_is_reported(self):
-        # Summand 0 fails the -1 check, summand 1 fails orthonormality.
-        parts = self.summands(self.X)
-        parts[0] = self.bent(parts[0], dB=0.1)
-        parts[1] = self.bent(parts[1], scale=1.5)
+        # The two reflections of X fail the -1 check once mixed; scaling the
+        # later one makes its summand fail orthonormality first.
+        W, dims = self.split(self.X)
+        i, j = np.flatnonzero(self.columns(self.X, W, dims)[2])
         with pytest.raises(DecompositionFailure, match=self.MINUS):
-            _certified_decomposition(self.X, parts, 1e-9, 0)
+            _certified_decomposition(self.X, scaled(mixed(W, i, j), j), dims, 1e-9, 0)
 
     def test_first_failing_check_of_a_summand_is_reported(self):
-        # One summand failing all three checks reports orthonormality; the
-        # +1 check comes before the -1 check; a summand failure comes
-        # before completeness.
-        parts = self.summands(self.X)
+        # A rotation mixed with a reflection fails the +1 and -1 checks, and
+        # scaled it fails all three: orthonormality is reported, then +1
+        # before -1; a summand failure comes before completeness.
+        W, dims = self.split(self.X)
+        _, carries_a, reflection = self.columns(self.X, W, dims)
+        (r,), (f, g) = np.flatnonzero(carries_a), np.flatnonzero(reflection)
+        assert dims == [1, 1, 1]  # so column r is summand r
         with pytest.raises(DecompositionFailure, match=self.ORTHONORMAL):
-            _certified_decomposition(self.X, [self.bent(parts[0], 0.1, 0.1, 1.5)] + parts[1:], 1e-9, 0)
+            _certified_decomposition(self.X, scaled(mixed(W, r, f), min(r, f)), dims, 1e-9, 0)
         with pytest.raises(DecompositionFailure, match=self.PLUS):
-            _certified_decomposition(self.X, [self.bent(parts[0], 0.1, 0.1)] + parts[1:], 1e-9, 0)
+            _certified_decomposition(self.X, mixed(W, r, f), dims, 1e-9, 0)
         with pytest.raises(DecompositionFailure, match=self.MINUS):
-            _certified_decomposition(self.X, [self.bent(parts[0], dB=0.1)] + parts[1:-1], 1e-9, 0)
+            _certified_decomposition(self.X, *dropped(mixed(W, f, g), dims, r), 1e-9, 0)
 
 
 class TestSplitHermitian:

@@ -231,6 +231,12 @@ class TestClassicalForm:
         assert np.array_equal(d1.W, d2.W)
         assert d1.characters == d2.characters
 
+    @pytest.mark.parametrize("seed", [-1, True, 1.0], ids=["negative", "bool", "float"])
+    def test_seed_must_be_a_non_negative_int(self, seed):
+        message = f"^seed must be a non-negative integer, got {seed!r}$"
+        with pytest.raises(ValueError, match=message):
+            classical_form(sample_classical(3, seed=5).object, seed=seed)
+
     def test_noncommutative_rejected(self):
         U = np.array([[0.0, 1.0], [1.0, 0.0]])
         P = np.diag([1.0, 0.0])

@@ -62,6 +62,15 @@ class TestTypes:
         with pytest.raises(ValueError):
             LinearObject(1, np.array([[np.nan]]), np.zeros((1, 1)))
 
+    @pytest.mark.parametrize(
+        "n", [1.0, True, 0, -1, "1"], ids=["float", "bool", "zero", "negative", "str"]
+    )
+    def test_object_refuses_n_that_is_not_a_positive_int(self, n):
+        # 1.0 would be written as "n": 1.0, which from_json refuses; 0 would
+        # reach decompose and fail inside numpy.
+        with pytest.raises(ValueError, match=f"^n must be a positive integer, got {n!r}$"):
+            LinearObject(n, np.eye(1), np.zeros((1, 1)))
+
     def test_kac_vector(self):
         assert np.array_equal(kac_vector(2), np.array([1, 0, 0, 1], dtype=complex))
 

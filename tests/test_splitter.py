@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from circleact.category import conjugate_object, direct_sum, morphism_space, tensor_product
-from circleact.certify import split_hermitian
+from circleact.certify import _seeded_split, split_hermitian
 from circleact.coaction import LinearObject
 from circleact.linalg import adjoint, hermitian_eig, split_by_gaps
 from circleact.solver import sample_classical
@@ -40,24 +40,27 @@ def oracle_split(family, tol, rng):
     return [np.eye(m, dtype=complex)]
 
 
+def hermitian_parts(mats):
+    """The shared family convention: T + T*, i(T - T*) for each member T in turn."""
+    return np.stack([H for T in mats for H in (T + adjoint(T), 1j * (T - adjoint(T)))])
+
+
 def generators(X):
-    """The classical route's family: the Hermitian parts of A and B."""
-    A, B = X.A, X.B
-    return np.stack([A + adjoint(A), 1j * (A - adjoint(A)), B + adjoint(B), 1j * (B - adjoint(B))])
+    """The classical route's stack: A and B."""
+    return np.stack([X.A, X.B])
 
 
 def commutant(X):
-    """The commutant route's family: the Hermitian parts of End(X)."""
-    basis = np.stack(morphism_space(X, X).basis)
-    basis_h = basis.conj().transpose(0, 2, 1)
-    return np.concatenate([basis + basis_h, 1j * (basis - basis_h)]) / 2.0
+    """The commutant route's stack: a basis of End(X)."""
+    return np.stack(morphism_space(X, X).basis)
 
 
 def seeded(seed, n):
     return np.random.default_rng(np.random.SeedSequence((seed, n)))
 
 
-def assert_same_split(family, seed, tol=1e-9):
+def assert_same_split(stack, seed, tol=1e-9):
+    family = hermitian_parts(stack)
     n = family.shape[-1]
     rng, oracle_rng = seeded(seed, n), seeded(seed, n)
     got = split_hermitian(family, tol, rng)
@@ -65,6 +68,8 @@ def assert_same_split(family, seed, tol=1e-9):
     assert [V.shape for V in got] == [V.shape for V in want]
     assert [V.tobytes() for V in got] == [V.tobytes() for V in want]
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    # Both routes split through _seeded_split, which must build the same family.
+    assert [V.tobytes() for V in _seeded_split(stack, tol, seed)] == [V.tobytes() for V in got]
     return got
 
 
@@ -120,9 +125,10 @@ def test_signed_zeros_of_eigh_are_normalized_as_before(n):
     # The first word has a one-eigenvalue cluster whose eigenvector carries
     # a -0.0 imaginary part.  The recursion appended it as S @ I, which
     # can turn -0.0 into +0.0; appending S bare would change output bytes.
-    family = generators(sample_classical(n, seed=1).object)
+    stack = generators(sample_classical(n, seed=1).object)
+    family = hermitian_parts(stack)
     H = np.tensordot(seeded(0, n).standard_normal(len(family)), family, axes=1)
     w, U = hermitian_eig(H)
     singles = [cl[0] for cl in split_by_gaps(w, 1e-7 * max(1.0, np.abs(w).max())) if len(cl) == 1]
     assert (np.signbit(U[:, singles].imag) & (U[:, singles].imag == 0)).any()
-    assert_same_split(family, 0)
+    assert_same_split(stack, 0)
