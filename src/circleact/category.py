@@ -19,8 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import adjoint, frobenius, kron, matrix_to_json, nullspace_basis, unvec
-from .coaction import CertificateReport, CheckResult, LinearObject, _as_pairing, check_homomorphism
+from .linalg import adjoint, frobenius, kron, nullspace_basis, unvec
+from .linalg import _matrix_to_json, _require_seed
+from .coaction import CertificateReport, CheckResult, LinearObject, check_homomorphism
+from .coaction import _as_pairing, _object_json
 from .certify import (
     AmbiguousSlot,
     NotSimultaneouslyDiagonalizable,
@@ -99,22 +101,35 @@ def is_irreducible(X: LinearObject, tol: float = 1e-9) -> bool:
     return morphism_space(X, X, tol).dim == 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Decomposition:
-    """Parent object split into summands via orthonormal isometries."""
+    """A split held as the arrays that certified it: the stacked isometry
+    W = [V_1 ... V_k] that ``_seeded_split`` formed, its block widths, the
+    block diagonal leaves LA, LB of the route's W* A W and W* B W, and the
+    seed, all measured by ``_certified_decomposition``.  Summand i is
+    (LA_ii, LB_ii) with isometry V_i."""
 
-    parent: LinearObject
-    summands: tuple
+    W: np.ndarray
+    widths: tuple
+    LA: np.ndarray
+    LB: np.ndarray
     seed: int
 
+    def _blocks(self) -> list:
+        """(LA_ii, LB_ii, V_i) per summand, as slices of the certified arrays."""
+        ends = np.cumsum(self.widths).tolist()
+        return [(self.LA[s, s], self.LB[s, s], self.W[:, s])
+                for s in (slice(e - d, e) for e, d in zip(ends, self.widths))]
+
+    @property
+    def summands(self) -> tuple:
+        """(leaf object, V_i) per summand, built on each access."""
+        return tuple((LinearObject(len(A), A, B), V) for A, B, V in self._blocks())
+
     def to_json(self) -> dict:
-        return {
-            "summands": [
-                {"object": obj.to_json(), "isometry": matrix_to_json(V)}
-                for obj, V in self.summands
-            ],
-            "seed": self.seed,
-        }
+        summands = [{"object": _object_json(A, B), "isometry": _matrix_to_json(V)}
+                    for A, B, V in self._blocks()]
+        return {"summands": summands, "seed": self.seed}
 
 
 def decompose(X: LinearObject, tol: float = 1e-9, seed: int = 0) -> Decomposition:
@@ -127,17 +142,19 @@ def decompose(X: LinearObject, tol: float = 1e-9, seed: int = 0) -> Decompositio
        them has a *-closed End(X), since every intertwiner commutes
        with the unitary U = A + B and the projection P = A*A.
     2. The classical route, taken when ``certify_commutativity`` passes:
-       the common eigenbasis W of ``classical_form``'s core, split into
-       its n columns, each an isometry onto a one dimensional summand.
+       ``classical_form``'s core forms W* A W and W* B W for the common
+       eigenbasis W, and hands both on with W cut into its n columns,
+       each an isometry onto a one dimensional summand.
     3. The commutant route, taken when the commutativity residuals fail
        or the core raises NotSimultaneouslyDiagonalizable or
-       AmbiguousSlot: ``_decompose_commutant`` splits End(X).
+       AmbiguousSlot: ``_decompose_commutant`` splits End(X) and forms
+       the two products itself.
 
-    Either route hands its stacked isometry W = [V_1 ... V_k] and block
-    widths to ``_certified_decomposition``, which certifies the leaves it
-    cuts from W* A W and W* B W; any failure raises DecompositionFailure,
-    and nothing is certified by construction.  A seed that is not a
-    non-negative int raises ValueError.
+    W is formed by ``_seeded_split``, multiplied once by the route, and
+    measured by ``_certified_decomposition``, whose certified arrays are
+    the Decomposition.  Any failure raises DecompositionFailure; nothing is
+    certified by construction.  A seed that is not a non-negative int
+    raises ValueError before any splitting word or End(X) is computed.
 
     Deterministic for fixed (X, tol, seed); summands come out ordered by
     the eigenvalue clusters of the random words.
@@ -148,10 +165,11 @@ def decompose(X: LinearObject, tol: float = 1e-9, seed: int = 0) -> Decompositio
     if not certify_commutativity(X, tol).overall_pass:
         return _decompose_commutant(X, tol, seed)
     try:
-        W, _, _ = _joint_diagonal(X, tol, seed)
+        W, Ad, Bd = _joint_diagonal(X, tol, seed)
     except (NotSimultaneouslyDiagonalizable, AmbiguousSlot):
         return _decompose_commutant(X, tol, seed)
-    return _certified_decomposition(X, W, [1] * X.n, tol, seed)
+    # Widths [1] * n, not the splitter's: a scalar family comes back as one block.
+    return _certified_decomposition(X, W, [1] * X.n, Ad, Bd, tol, seed)
 
 
 def _decompose_commutant(X: LinearObject, tol: float, seed: int) -> Decomposition:
@@ -166,38 +184,41 @@ def _decompose_commutant(X: LinearObject, tol: float, seed: int) -> Decompositio
     whose End(X) is not computed again.  This route needs no
     commutativity; it is the independent oracle for the classical route.
     """
+    _require_seed(seed)  # before End(X), the O(m^6) step
     mor = morphism_space(X, X, tol)
     if mor.dim == 0:
         raise DecompositionFailure(
             f"the self morphism space is empty at tol={tol:g}; the identity always "
             "intertwines, so the tolerance is below the numerical noise floor"
         )
-    blocks = _seeded_split(np.stack(mor.basis), tol, seed)
-    dims = [V.shape[1] for V in blocks]
-    decomp = _certified_decomposition(X, np.hstack(blocks), dims, tol, seed)
+    W, widths = _seeded_split(np.stack(mor.basis), tol, seed)
+    WH = adjoint(W)
+    decomp = _certified_decomposition(X, W, widths, WH @ X.A @ W, WH @ X.B @ W, tol, seed)
     for leaf, _ in decomp.summands:
         # An unsplit block is X itself, whose self morphism space is mor.
-        if leaf.n > 1 and (mor if len(blocks) == 1 else morphism_space(leaf, leaf, tol)).dim != 1:
+        if leaf.n > 1 and (mor if len(widths) == 1 else morphism_space(leaf, leaf, tol)).dim != 1:
             raise DecompositionFailure("no splitting word found for a reducible candidate")
     return decomp
 
 
 def _certified_decomposition(
-    X: LinearObject, W: np.ndarray, dims: list, tol: float, seed: int
+    X: LinearObject, W: np.ndarray, widths: list, WAW, WBW, tol: float, seed: int
 ) -> Decomposition:
-    """Certify the summands of X cut from W by dims at tol*sqrt(n).
+    """Certify the summands of X cut from W by widths at tol*sqrt(n).
 
-    The leaves L_A, L_B are the diagonal blocks of W* A W and W* B W.  The
-    checks are W*W - I on the diagonal blocks, X.A W - W L_A, X.B W - W L_B
-    (each read per summand's columns; the first failing summand and check is
-    reported), then W W* - I; only then is each (leaf, V_i) built."""
+    W comes from ``_seeded_split`` and WAW, WBW are W* A W and W* B W as the
+    caller formed them; the leaves L_A, L_B are their diagonal blocks.  W is
+    measured here: W*W - I on the diagonal blocks, X.A W - W L_A and
+    X.B W - W L_B (each read per summand's columns; the first failing
+    summand and check is reported), then W W* - I.  The certified arrays
+    are the returned Decomposition."""
     n = X.n
     check_tol = tol * np.sqrt(n)
-    starts = np.cumsum([0, *dims[:-1]])
-    block = np.repeat(np.arange(len(dims)), dims)
+    starts = np.cumsum([0, *widths[:-1]])
+    block = np.repeat(np.arange(len(widths)), widths)
     mask = block[:, None] == block
     # np.where, not a product with mask: that would turn -0.0 into +0.0.
-    LA, LB = (np.where(mask, adjoint(W) @ M @ W, 0) for M in (X.A, X.B))
+    LA, LB = (np.where(mask, P, 0) for P in (WAW, WBW))
     residuals = (
         (adjoint(W) @ W - np.eye(W.shape[1])) * mask,
         X.A @ W - W @ LA,
@@ -213,11 +234,7 @@ def _certified_decomposition(
         )
     if not frobenius(W @ adjoint(W) - np.eye(n)) <= check_tol:
         raise DecompositionFailure("summand isometries do not resolve the identity")
-    summands = tuple(
-        (LinearObject(d, LA[i : i + d, i : i + d], LB[i : i + d, i : i + d]), W[:, i : i + d])
-        for i, d in zip(starts.tolist(), dims)
-    )
-    return Decomposition(X, summands, seed)
+    return Decomposition(W, tuple(widths), LA, LB, seed)
 
 
 def check_snake(s, t, n: int, tol: float = 1e-9) -> CertificateReport:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import adjoint, as_matrix, frobenius, hermitian_eig, split_by_gaps
+from .linalg import _matrix_to_json, _require_seed
 from .coaction import (
     CertificateReport,
     CheckResult,
@@ -184,10 +185,8 @@ class ClassicalDecomposition:
     characters: tuple
 
     def to_json(self) -> dict:
-        from .linalg import matrix_to_json
-
         return {
-            "W": matrix_to_json(self.W),
+            "W": _matrix_to_json(self.W),
             "characters": [c.to_json() for c in self.characters],
         }
 
@@ -202,11 +201,13 @@ def classical_form(
     the four Hermitian generators built from A and B is diagonalized;
     near-degenerate eigenvalue clusters are refined recursively with
     fresh words until every generator is scalar on every block.  The
-    resulting basis is checked: if off-diagonal mass above tol*sqrt(n)
+    resulting basis W is checked: if off-diagonal mass above tol*sqrt(n)
     survives, NotSimultaneouslyDiagonalizable is raised.  Each diagonal
     slot must then be a rotation (unit modulus A entry, vanishing B
     entry) or a reflection (the other way round); a slot with both
-    moduli above tol raises AmbiguousSlot.
+    moduli above tol raises AmbiguousSlot.  Last, W W* - I above
+    tol*sqrt(n) raises NotSimultaneouslyDiagonalizable.  Each check
+    passes only when its residual is at most its bound, so a NaN fails.
 
     Deterministic for fixed (obj, tol, seed): randomness comes from a
     named-seed generator consumed in a fixed recursion order.
@@ -222,6 +223,12 @@ def classical_form(
 
 def _classical_form(obj: LinearObject, tol: float, seed: int) -> ClassicalDecomposition:
     W, Ad, Bd = _joint_diagonal(obj, tol, seed)
+    # Measured here, not in the core: decompose's certifier measures W W* - I itself.
+    drift, bound = frobenius(W @ adjoint(W) - np.eye(obj.n)), tol * np.sqrt(obj.n)
+    if not drift <= bound:
+        raise NotSimultaneouslyDiagonalizable(
+            f"eigenbasis is not unitary: |WW*-I| = {drift:.3e} exceeds {bound:.3e}"
+        )
     characters = tuple(
         Character("rotation", a) if abs(a) >= abs(b) else Character("reflection", b)
         for a, b in zip(np.diag(Ad).tolist(), np.diag(Bd).tolist())
@@ -232,7 +239,7 @@ def _classical_form(obj: LinearObject, tol: float, seed: int) -> ClassicalDecomp
 def _joint_diagonal(obj: LinearObject, tol: float, seed: int):
     """The common eigenbasis W, W* A W and W* B W: diagonal, one character per slot."""
     A, B, n = obj.A, obj.B, obj.n
-    W = np.hstack(_seeded_split(np.stack([A, B]), tol, seed))
+    W, _ = _seeded_split(np.stack([A, B]), tol, seed)
 
     Ad = adjoint(W) @ A @ W
     Bd = adjoint(W) @ B @ W
@@ -240,15 +247,15 @@ def _joint_diagonal(obj: LinearObject, tol: float, seed: int):
         frobenius(Ad - np.diag(np.diag(Ad))) ** 2
         + frobenius(Bd - np.diag(np.diag(Bd))) ** 2
     )
-    if off > tol * np.sqrt(n):
+    if not off <= tol * np.sqrt(n):
         raise NotSimultaneouslyDiagonalizable(
             f"off-diagonal mass {off:.3e} exceeds {tol * np.sqrt(n):.3e}"
         )
-    for i, (a, b) in enumerate(zip(np.diag(Ad).tolist(), np.diag(Bd).tolist())):
-        if min(abs(a), abs(b)) > tol:
-            raise AmbiguousSlot(
-                f"slot {i} carries weight on both coefficients: |a|={abs(a):.3e}, |b|={abs(b):.3e}"
-            )
+    a, b = np.abs(np.diag(Ad)), np.abs(np.diag(Bd))
+    for i in np.flatnonzero(~(np.minimum(a, b) <= tol))[:1]:  # np.minimum keeps a NaN
+        raise AmbiguousSlot(
+            f"slot {i} carries weight on both coefficients: |a|={a[i]:.3e}, |b|={b[i]:.3e}"
+        )
     return W, Ad, Bd
 
 
@@ -261,16 +268,20 @@ def _require_valid_pair(pair: ConjugatePair, tol: float) -> None:
     )
 
 
-def _seeded_split(mats: np.ndarray, tol: float, seed: int) -> list[np.ndarray]:
+def _seeded_split(mats: np.ndarray, tol: float, seed: int) -> tuple[np.ndarray, list]:
     """Split a (k, m, m) stack along the Hermitian parts T + T*, i(T - T*)
     of each member T in turn, drawing words from a generator seeded by
-    (seed, m).  Both decomposition routes split through here."""
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    (seed, m), once the seed is known to be a non-negative int.  Returns
+    the stacked isometry W = [V_1 ... V_k], formed here and nowhere else,
+    and the widths of its blocks.  ``classical_form`` and both
+    decomposition routes split through here; W*AW and W*BW are formed by
+    the caller, and W is measured by the caller's checks."""
+    _require_seed(seed)
     m = mats.shape[-1]
     mats_h = mats.conj().transpose(0, 2, 1)
     family = np.stack([mats + mats_h, 1j * (mats - mats_h)], axis=1).reshape(-1, m, m)
-    return split_hermitian(family, tol, np.random.default_rng(np.random.SeedSequence((seed, m))))
+    blocks = split_hermitian(family, tol, np.random.default_rng(np.random.SeedSequence((seed, m))))
+    return np.hstack(blocks), [V.shape[1] for V in blocks]
 
 
 def split_hermitian(family, tol: float, rng) -> list[np.ndarray]:

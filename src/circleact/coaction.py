@@ -91,8 +91,7 @@ class LinearObject:
         _store_square(self, self.n, ("A", "B"))
 
     def to_json(self) -> dict:
-        # A and B were validated when the object was built.
-        return {"n": self.n, "A": _matrix_to_json(self.A), "B": _matrix_to_json(self.B)}
+        return _object_json(self.A, self.B)
 
     @classmethod
     def from_json(cls, obj, *, path: str = "object") -> "LinearObject":
@@ -109,6 +108,11 @@ class LinearObject:
             return cls(n, A, B)
         except DimensionMismatch as exc:
             raise SchemaError(f"{path}: {exc}") from exc
+
+
+def _object_json(A: np.ndarray, B: np.ndarray) -> dict:
+    """The {n, A, B} document of a candidate given as two validated n x n arrays."""
+    return {"n": A.shape[0], "A": _matrix_to_json(A), "B": _matrix_to_json(B)}
 
 
 def rotation(phase: complex) -> LinearObject:

@@ -64,6 +64,12 @@ def _as_array(data, ndim: int, path: str) -> np.ndarray:
     return arr
 
 
+def _require_seed(seed) -> None:
+    """Refuse a seed that is not a non-negative int (a bool is not one)."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def adjoint(M: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return M.conj().T

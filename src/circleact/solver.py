@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .linalg import adjoint
+from .linalg import _require_seed, adjoint
 from .coaction import (
     _ADJ,
     _CONSTRAINTS,
@@ -334,8 +334,10 @@ def sample_classical(n: int, seed: int = 0) -> ConjugatePair:
     the phases of the subset into the +1 coefficient and the rest into
     the -1 coefficient, conjugate by W, and take the canonical dual.
     Satisfies all twenty constraints to rounding error, which makes it
-    both a solver fixed point and an oracle for the certifiers.
+    both a solver fixed point and an oracle for the certifiers.  A seed
+    that is not a non-negative int raises ValueError.
     """
+    _require_seed(seed)
     rng = np.random.default_rng(np.random.SeedSequence((seed, n)))
     raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     Q, R = np.linalg.qr(raw)
@@ -357,8 +359,10 @@ def gradient_check(point, seed: int = 0) -> float:
     Perturbs 32 seeded random real coordinates of the point, in the
     float64 view of its complex stack that ``_minimize`` iterates on, by
     steps of 1e-6 and returns the worst deviation, relative where the
-    analytic entry is large and absolute where it is small.
+    analytic entry is large and absolute where it is small.  A seed that
+    is not a non-negative int raises ValueError.
     """
+    _require_seed(seed)
     step = 1e-6
     X = np.array(point, dtype=complex, order="C")
     x = X.reshape(-1).view(np.float64)

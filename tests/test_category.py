@@ -16,6 +16,7 @@ from circleact.category import (
     tensor_product,
 )
 from circleact.certify import _joint_diagonal, canonical_dual, classical_form, split_hermitian
+from circleact import coaction
 from circleact.coaction import (
     ConjugatePair,
     LinearObject,
@@ -320,10 +321,17 @@ class TestDecomposeRoutes:
     @pytest.mark.parametrize("route", [decompose, _decompose_commutant])
     @pytest.mark.parametrize("build", [lambda: sample_classical(3, seed=1).object,
                                        _with_irreducible_block], ids=["classical", "commutant"])
-    def test_seed_must_be_a_non_negative_int(self, route, build, seed):
+    def test_seed_must_be_a_non_negative_int(self, monkeypatch, route, build, seed):
+        # Refused before any work: End(X) is an O(m^6) step.
+        X = build()
+
+        def refuse(*args):
+            raise AssertionError("End(X) computed for a refused seed")
+
+        monkeypatch.setattr("circleact.category.morphism_space", refuse)
         message = f"^seed must be a non-negative integer, got {seed!r}$"
         with pytest.raises(ValueError, match=message):
-            route(build(), 1e-9, seed)
+            route(X, 1e-9, seed)
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize(
@@ -427,6 +435,41 @@ def test_classical_route_keeps_the_bits_of_the_joint_diagonal(monkeypatch, x, y)
     assert np.hstack([V for _, V in summands]).tobytes() == W.tobytes()
 
 
+def test_classical_route_hands_over_the_arrays_of_the_joint_diagonal(monkeypatch):
+    # W* A W and W* B W are formed once, by the core, and reach the
+    # certifier as the very arrays the core returned.
+    Z = tensor_product(sample_classical(2, seed=2).object, sample_classical(3, seed=13).object)
+    returned, handed = [], []
+
+    def core(*args):
+        returned.append(_joint_diagonal(*args))
+        return returned[-1]
+
+    def certifier(*args):
+        handed.append(args)
+        return _certified_decomposition(*args)
+
+    monkeypatch.setattr("circleact.category._joint_diagonal", core)
+    monkeypatch.setattr("circleact.category._certified_decomposition", certifier)
+    decomp = decompose(Z, seed=3)
+    [(W, Ad, Bd)], [args] = returned, handed
+    assert args[1] is W and args[2] == [1] * Z.n and args[3] is Ad and args[4] is Bd
+    assert decomp.W is W
+
+
+def test_fuse_path_builds_no_summand_object(monkeypatch):
+    # decompose and to_json work on the certified arrays; a LinearObject
+    # per summand (and its validation) is built only when summands is read.
+    Z = tensor_product(sample_classical(2, seed=2).object, sample_classical(3, seed=13).object)
+    built = []
+    store = coaction._store_square
+    monkeypatch.setattr(coaction, "_store_square", lambda *args: built.append(args) or store(*args))
+    decomp = decompose(Z, seed=3)
+    decomp.to_json()
+    assert built == []
+    assert len(decomp.summands) == Z.n and len(built) == Z.n
+
+
 def oracle_certify(X, W, dims, tol):
     """The per-summand loop that the stacked check replaced, on the leaves
     V* A V and V* B V of each block V of W: the message of the first
@@ -486,8 +529,14 @@ class TestCertifiedDecomposition:
     @staticmethod
     def split(Z, seed=0):
         """The stacked isometry W and the block widths that decompose certified."""
-        summands = decompose(Z, seed=seed).summands
-        return np.hstack([V for _, V in summands]), [leaf.n for leaf, _ in summands]
+        decomp = decompose(Z, seed=seed)
+        return decomp.W, list(decomp.widths)
+
+    @staticmethod
+    def certify(Z, W, dims):
+        """``_certified_decomposition`` of W, given W* A W and W* B W as a route forms them."""
+        WH = adjoint(W)
+        return _certified_decomposition(Z, W, dims, WH @ Z.A @ W, WH @ Z.B @ W, 1e-9, 0)
 
     @staticmethod
     def columns(Z, W, dims):
@@ -513,7 +562,7 @@ class TestCertifiedDecomposition:
     def test_valid_summands_pass(self):
         for Z in (self.X, self.Y):
             want = decompose(Z).summands
-            got = _certified_decomposition(Z, *self.split(Z), 1e-9, 0).summands
+            got = self.certify(Z, *self.split(Z)).summands
             assert [(l.n, l.A.tobytes(), l.B.tobytes(), V.tobytes()) for l, V in got] == [
                 (l.n, l.A.tobytes(), l.B.tobytes(), V.tobytes()) for l, V in want
             ]
@@ -532,7 +581,7 @@ class TestCertifiedDecomposition:
         assert cases
         for W in cases:
             with pytest.raises(DecompositionFailure, match=message):
-                _certified_decomposition(Z, W, dims, 1e-9, 0)
+                self.certify(Z, W, dims)
 
     @pytest.mark.parametrize("which", ["X", "Y"])
     def test_dropped_summand_is_incomplete(self, which):
@@ -540,7 +589,7 @@ class TestCertifiedDecomposition:
         W, dims = self.split(Z)
         for k in range(len(dims)):
             with pytest.raises(DecompositionFailure, match=self.COMPLETE):
-                _certified_decomposition(Z, *dropped(W, dims, k), 1e-9, 0)
+                self.certify(Z, *dropped(W, dims, k))
 
     @pytest.mark.parametrize("which", ["X", "Y"])
     def test_agrees_with_the_per_summand_loop(self, which):
@@ -557,7 +606,7 @@ class TestCertifiedDecomposition:
             if rng.random() < 0.2:
                 W, dims = dropped(W, dims, rng.integers(len(dims)))
             try:
-                _certified_decomposition(Z, W, dims, 1e-9, 0)
+                self.certify(Z, W, dims)
                 got = None
             except DecompositionFailure as exc:
                 got = str(exc)
@@ -571,7 +620,7 @@ class TestCertifiedDecomposition:
         W, dims = self.split(self.X)
         i, j = np.flatnonzero(self.columns(self.X, W, dims)[2])
         with pytest.raises(DecompositionFailure, match=self.MINUS):
-            _certified_decomposition(self.X, scaled(mixed(W, i, j), j), dims, 1e-9, 0)
+            self.certify(self.X, scaled(mixed(W, i, j), j), dims)
 
     def test_first_failing_check_of_a_summand_is_reported(self):
         # A rotation mixed with a reflection fails the +1 and -1 checks, and
@@ -582,11 +631,11 @@ class TestCertifiedDecomposition:
         (r,), (f, g) = np.flatnonzero(carries_a), np.flatnonzero(reflection)
         assert dims == [1, 1, 1]  # so column r is summand r
         with pytest.raises(DecompositionFailure, match=self.ORTHONORMAL):
-            _certified_decomposition(self.X, scaled(mixed(W, r, f), min(r, f)), dims, 1e-9, 0)
+            self.certify(self.X, scaled(mixed(W, r, f), min(r, f)), dims)
         with pytest.raises(DecompositionFailure, match=self.PLUS):
-            _certified_decomposition(self.X, mixed(W, r, f), dims, 1e-9, 0)
+            self.certify(self.X, mixed(W, r, f), dims)
         with pytest.raises(DecompositionFailure, match=self.MINUS):
-            _certified_decomposition(self.X, *dropped(mixed(W, f, g), dims, r), 1e-9, 0)
+            self.certify(self.X, *dropped(mixed(W, f, g), dims, r))
 
 
 class TestSplitHermitian:

@@ -1,14 +1,18 @@
 """Certification chain tests: partial isometries, polar data, duality, classical form."""
 
+import json
 import re
 
 import numpy as np
 import pytest
 
+from circleact import certify
+from circleact.cli import main
 from circleact.certify import (
     AmbiguousSlot,
     Character,
     ConstraintViolation,
+    NotSimultaneouslyDiagonalizable,
     canonical_dual,
     certify_commutativity,
     certify_duality,
@@ -175,6 +179,41 @@ class TestCommutativity:
         report = certify_commutativity(obj)
         assert not report.overall_pass
         assert report.residual("AB-BA") == pytest.approx(np.sqrt(2))
+
+
+BROKEN_SPLITS = {
+    "nan_blocks": (lambda V: np.full_like(V, np.nan), "^off-diagonal mass nan exceeds "),
+    "doubled_blocks": (lambda V: 2 * V, r"^eigenbasis is not unitary: \|WW\*-I\| = 5\.196e\+00 "),
+}
+
+
+@pytest.fixture(params=BROKEN_SPLITS.values(), ids=BROKEN_SPLITS.keys())
+def broken_split(request, monkeypatch):
+    """A splitter whose blocks are NaN, or twice an isometry; the message
+    that refuses its basis."""
+    mutant, message = request.param
+    split = certify.split_hermitian
+    monkeypatch.setattr(
+        certify, "split_hermitian", lambda *args: [mutant(V) for V in split(*args)]
+    )
+    return message
+
+
+class TestBrokenSplitter:
+    """Every character must come from a basis that was measured: a broken
+    splitter is refused by classical_form and by ``circleact certify``."""
+
+    def test_classical_form_refuses(self, broken_split):
+        with pytest.raises(NotSimultaneouslyDiagonalizable, match=broken_split):
+            classical_form(sample_classical(3, seed=3).object)
+
+    def test_certify_exits_one_with_an_error(self, broken_split, tmp_path, capsys):
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(sample_classical(3, seed=3).to_json()), encoding="utf-8")
+        code = main(["certify", "--input", str(path), "--reproducible"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 1 and payload["report"]["overall_pass"] and "classical" not in payload
+        assert re.match(broken_split, payload["error"])
 
 
 class TestClassicalForm:

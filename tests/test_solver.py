@@ -82,6 +82,12 @@ class TestGradient:
             )
             assert gradient_check(mats, seed=trial) <= 1e-4
 
+    @pytest.mark.parametrize("seed", [-1, True, 1.0], ids=["negative", "bool", "float"])
+    def test_seed_must_be_a_non_negative_int(self, seed):
+        pair = sample_classical(2, seed=0)
+        with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {seed!r}$"):
+            gradient_check((pair.object.A, pair.object.B, pair.C, pair.D), seed=seed)
+
 
 class TestConstraintSubset:
     def test_homomorphism_rows_alone(self, monkeypatch):
@@ -265,6 +271,12 @@ class TestSampleClassical:
         p2 = sample_classical(3, seed=9)
         assert np.array_equal(p1.object.A, p2.object.A)
         assert np.array_equal(p1.D, p2.D)
+
+    @pytest.mark.parametrize("seed", [-1, True, 1.0], ids=["negative", "bool", "float"])
+    def test_seed_must_be_a_non_negative_int(self, seed):
+        # A bool is refused, not read as seed 1.
+        with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {seed!r}$"):
+            sample_classical(3, seed=seed)
 
     def test_distinct_seeds_distinct_samples(self):
         p1 = sample_classical(2, seed=0)

@@ -68,8 +68,11 @@ def assert_same_split(stack, seed, tol=1e-9):
     assert [V.shape for V in got] == [V.shape for V in want]
     assert [V.tobytes() for V in got] == [V.tobytes() for V in want]
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
-    # Both routes split through _seeded_split, which must build the same family.
-    assert [V.tobytes() for V in _seeded_split(stack, tol, seed)] == [V.tobytes() for V in got]
+    # Both routes split through _seeded_split, which must build the same family
+    # and return the oracle's blocks stacked, with their widths.
+    W, widths = _seeded_split(stack, tol, seed)
+    assert W.shape == (n, n) and W.tobytes() == np.hstack(want).tobytes()
+    assert widths == [V.shape[1] for V in want]
     return got
 
 
