@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import adjoint, frobenius, kron, nullspace_basis, unvec
-from .linalg import _matrix_to_json, _require_seed
+from .linalg import _matrix_to_json, _require_int
 from .coaction import CertificateReport, CheckResult, LinearObject, check_homomorphism
 from .coaction import _as_pairing, _object_json
 from .certify import (
@@ -83,7 +83,7 @@ def morphism_space(X: LinearObject, Y: LinearObject, tol: float = 1e-9) -> Morph
 
     Both equations are imposed on the generator only; a basis of the
     joint nullspace of the two linearized equations is returned, each
-    vector reshaped to an n_Y x n_X matrix.
+    vector reshaped to an n_Y x n_X matrix.  tol is finite and positive.
     """
     nx, ny = X.n, Y.n
     Iy = np.eye(ny, dtype=complex)
@@ -107,13 +107,16 @@ class Decomposition:
     W = [V_1 ... V_k] that ``_seeded_split`` formed, its block widths, the
     block diagonal leaves LA, LB of the route's W* A W and W* B W, and the
     seed, all measured by ``_certified_decomposition``.  Summand i is
-    (LA_ii, LB_ii) with isometry V_i."""
+    (LA_ii, LB_ii) with isometry V_i.  The seed is a non-negative int."""
 
     W: np.ndarray
     widths: tuple
     LA: np.ndarray
     LB: np.ndarray
     seed: int
+
+    def __post_init__(self):
+        _require_int(self.seed, "seed")
 
     def _blocks(self) -> list:
         """(LA_ii, LB_ii, V_i) per summand, as slices of the certified arrays."""
@@ -154,7 +157,8 @@ def decompose(X: LinearObject, tol: float = 1e-9, seed: int = 0) -> Decompositio
     measured by ``_certified_decomposition``, whose certified arrays are
     the Decomposition.  Any failure raises DecompositionFailure; nothing is
     certified by construction.  A seed that is not a non-negative int
-    raises ValueError before any splitting word or End(X) is computed.
+    raises ValueError before any splitting word or End(X) is computed, and
+    so does a tol that is not finite and positive.
 
     Deterministic for fixed (X, tol, seed); summands come out ordered by
     the eigenvalue clusters of the random words.
@@ -184,7 +188,7 @@ def _decompose_commutant(X: LinearObject, tol: float, seed: int) -> Decompositio
     whose End(X) is not computed again.  This route needs no
     commutativity; it is the independent oracle for the classical route.
     """
-    _require_seed(seed)  # before End(X), the O(m^6) step
+    _require_int(seed, "seed")  # before End(X), the O(m^6) step
     mor = morphism_space(X, X, tol)
     if mor.dim == 0:
         raise DecompositionFailure(
@@ -244,8 +248,9 @@ def check_snake(s, t, n: int, tol: float = 1e-9) -> CertificateReport:
     the two composite pairings must both be the identity:
     transpose(conj(T) @ S) and transpose(conj(S) @ T).  The standard
     vectors pass exactly; any rescaling fails, which is the point of the
-    normalization.
+    normalization.  n is a positive int and tol finite and positive.
     """
+    _require_int(n, "n", least=1)
     s = _as_pairing(s, n, "s")
     t = _as_pairing(t, n, "t")
     S = unvec(s, n, n)

@@ -16,6 +16,7 @@ fall out in order and each step can be certified numerically:
 the classification of these coactions by classical circle symmetries.
 Each public step refuses input failing its preconditions, then runs a
 private core; the CLI calls each core once its own checks of them pass.
+A tol that is not finite and positive is refused by the first report.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import adjoint, as_matrix, frobenius, hermitian_eig, split_by_gaps
-from .linalg import _matrix_to_json, _require_seed
+from .linalg import _matrix_to_json, _require_positive, _seeded_rng
 from .coaction import (
     CertificateReport,
     CheckResult,
@@ -51,7 +52,8 @@ class AmbiguousSlot(RuntimeError):
 
 
 def is_partial_isometry(M, tol: float = 1e-9) -> tuple[bool, float]:
-    """Whether M M* M = M within tol; returns (verdict, residual)."""
+    """Whether M M* M = M within a finite positive tol; returns (verdict, residual)."""
+    _require_positive(tol, "tol")
     M = as_matrix(M)
     residual = frobenius(M @ adjoint(M) @ M - M)
     return residual <= tol, residual
@@ -210,7 +212,8 @@ def classical_form(
     passes only when its residual is at most its bound, so a NaN fails.
 
     Deterministic for fixed (obj, tol, seed): randomness comes from a
-    named-seed generator consumed in a fixed recursion order.
+    named-seed generator consumed in a fixed recursion order.  A tol or
+    seed that fails its rule in ``linalg`` raises ValueError.
     """
     check_homomorphism(obj, tol).require(
         "object fails the homomorphism equations", ConstraintViolation
@@ -270,17 +273,15 @@ def _require_valid_pair(pair: ConjugatePair, tol: float) -> None:
 
 def _seeded_split(mats: np.ndarray, tol: float, seed: int) -> tuple[np.ndarray, list]:
     """Split a (k, m, m) stack along the Hermitian parts T + T*, i(T - T*)
-    of each member T in turn, drawing words from a generator seeded by
-    (seed, m), once the seed is known to be a non-negative int.  Returns
-    the stacked isometry W = [V_1 ... V_k], formed here and nowhere else,
-    and the widths of its blocks.  ``classical_form`` and both
+    of each member T in turn, drawing words from ``_seeded_rng(seed, m)``.
+    Returns the stacked isometry W = [V_1 ... V_k], formed here and nowhere
+    else, and the widths of its blocks.  ``classical_form`` and both
     decomposition routes split through here; W*AW and W*BW are formed by
     the caller, and W is measured by the caller's checks."""
-    _require_seed(seed)
     m = mats.shape[-1]
     mats_h = mats.conj().transpose(0, 2, 1)
     family = np.stack([mats + mats_h, 1j * (mats - mats_h)], axis=1).reshape(-1, m, m)
-    blocks = split_hermitian(family, tol, np.random.default_rng(np.random.SeedSequence((seed, m))))
+    blocks = split_hermitian(family, tol, _seeded_rng(seed, m))
     return np.hstack(blocks), [V.shape[1] for V in blocks]
 
 

@@ -10,12 +10,12 @@ input included.  Exit codes: 0 all checks passed, 1 a check failed or
 a counterexample was found, 2 input/output or schema trouble (with a
 diagnostic naming the offending JSON path, never a stack trace).  A
 numerical routine that fails to converge is a measured failure and
-exits 1.  The dimension that snake and sample build from (--n, or
-snake's input "n") is capped at MAX_N, and solve's --n at
-solver.SOLVE_MAX_N; a larger one, or a negative --seed, exits 2 before
-anything is allocated.  Running out of memory on any other input exits
-2 as well: nothing was measured, and the input asked for more than the
-machine has.
+exits 1.  --tol, --character-tol, --seed and --n take the library's
+rules under the flag's name, and a refused one exits 2 before anything
+is read: --n (like snake's input "n") runs from 1 to MAX_N, solve's to
+solver.SOLVE_MAX_N, and snake takes --n or --input, not both.  Running
+out of memory on any other input exits 2 as well: nothing was measured,
+and the input asked for more than the machine has.
 
 Identical invocations produce byte identical output, except for the
 "timestamp" field that --reproducible suppresses, on the same BLAS kernel
@@ -29,8 +29,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
@@ -39,6 +39,7 @@ import numpy as np
 
 from . import __version__
 from .linalg import DimensionMismatch, NoConvergence, SchemaError, vector_from_json
+from .linalg import _require_int, _require_positive
 from .coaction import (
     CertificateReport,
     CheckResult,
@@ -245,15 +246,7 @@ def _cmd_certify(args) -> tuple[dict, bool]:
 
 def _cmd_solve(args) -> tuple[dict, bool]:
     try:
-        config = SolverConfig(
-            n=args.n,
-            restarts=args.restarts,
-            max_iters=args.max_iters,
-            residual_tol=args.residual_tol,
-            grad_tol=args.grad_tol,
-            step_init=args.step_init,
-            seed=args.seed,
-        )
+        config = SolverConfig(**{f.name: getattr(args, f.name) for f in fields(SolverConfig)})
     except ValueError as exc:
         raise SchemaError(f"config: {exc}") from exc
     run = solve(config)
@@ -313,15 +306,13 @@ def _cmd_fuse(args) -> tuple[dict, bool]:
 
 
 def _cmd_snake(args) -> tuple[dict, bool]:
-    if args.input is None and args.n is not None:
+    if args.n is not None:  # never given with --input
         n, doc = args.n, {}
     else:
         doc = _unwrap(_read_payload(args.input))
         if not isinstance(doc, dict) or "n" not in doc:
             raise SchemaError("input: expected an object with an 'n' field")
-        n = doc["n"]
-        if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_N:
-            raise SchemaError(f"input.n: expected an integer from 1 to {MAX_N}")
+        n = _require_int(doc["n"], "input.n", 1, MAX_N, error=SchemaError)
     s, t = (
         vector_from_json(doc[key], path=f"input.{key}") if key in doc else kac_vector(n)
         for key in ("s", "t")
@@ -334,17 +325,15 @@ def _cmd_snake(args) -> tuple[dict, bool]:
 
 
 def _check_arguments(args) -> None:
-    for flag in ("tol", "character_tol"):
-        value = getattr(args, flag, None)
-        if value is not None and not (math.isfinite(value) and value > 0):
-            name = "--" + flag.replace("_", "-")
-            raise SchemaError(f"{name}: expected a finite positive number, got {value!r}")
-    seed = getattr(args, "seed", None)
-    if seed is not None and seed < 0:
-        raise SchemaError(f"--seed: expected a non-negative integer, got {seed}")
+    for flag, rule in (("tol", _require_positive), ("character_tol", _require_positive),
+                       ("seed", _require_int)):
+        if getattr(args, flag, None) is not None:
+            rule(getattr(args, flag), "--" + flag.replace("_", "-"))
     cap = {_cmd_sample: MAX_N, _cmd_snake: MAX_N, _cmd_solve: SOLVE_MAX_N}.get(args.func)
-    if cap is not None and args.n is not None and not 1 <= args.n <= cap:
-        raise SchemaError(f"--n: expected an integer from 1 to {cap}, got {args.n}")
+    if cap is not None and args.n is not None:
+        _require_int(args.n, "--n", 1, cap)
+    if args.func is _cmd_snake and args.n is not None and args.input is not None:
+        raise ValueError("--n: not allowed with --input, whose document gives n")
 
 
 @functools.cache

@@ -34,6 +34,8 @@ from .linalg import (
     DimensionMismatch,
     SchemaError,
     _matrix_to_json,
+    _require_int,
+    _require_positive,
     adjoint,
     as_matrix,
     as_vector,
@@ -53,11 +55,8 @@ SUPPORT_BOUND = 64
 
 
 def kac_vector(n: int) -> np.ndarray:
-    """The standard pairing vector: 1 at the flat indices i*n+i, else 0."""
-    v = np.zeros(n * n, dtype=complex)
-    for i in range(n):
-        v[i * n + i] = 1.0
-    return v
+    """The standard pairing vector of a positive int n: 1 at the flat indices i*n+i, else 0."""
+    return np.eye(_require_int(n, "n", least=1), dtype=complex).ravel()
 
 
 def _as_pairing(v, n: int, key: str) -> np.ndarray:
@@ -79,15 +78,14 @@ def _store_square(obj, n: int, keys: tuple) -> None:
 
 @dataclass(frozen=True, eq=False)
 class LinearObject:
-    """A coaction candidate (A, B) on an n dimensional space."""
+    """A coaction candidate (A, B) on an n dimensional space; n is a positive int."""
 
     n: int
     A: np.ndarray
     B: np.ndarray
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        _require_int(self.n, "n", least=1)
         _store_square(self, self.n, ("A", "B"))
 
     def to_json(self) -> dict:
@@ -100,9 +98,7 @@ class LinearObject:
         for key in ("n", "A", "B"):
             if key not in obj:
                 raise SchemaError(f"{path}.{key}: missing")
-        n = obj["n"]
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise SchemaError(f"{path}.n: expected a positive integer")
+        n = _require_int(obj["n"], f"{path}.n", least=1, error=SchemaError)
         A, B = (matrix_from_json(obj[key], path=f"{path}.{key}") for key in ("A", "B"))
         try:
             return cls(n, A, B)
@@ -196,10 +192,13 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class CertificateReport:
-    """Outcome of a batch of residual checks at a common base tolerance."""
+    """Outcome of a batch of residual checks at a finite positive base tolerance."""
 
     tolerance: float
     checks: tuple = field(default_factory=tuple)
+
+    def __post_init__(self):
+        _require_positive(self.tolerance, "tol")
 
     @property
     def overall_pass(self) -> bool:
@@ -233,17 +232,15 @@ class LaurentMatrixPoly:
     """Finite matrix valued Laurent expression over the circle generator.
 
     Stored as a mapping degree -> n x n coefficient matrix with
-    normalized support: exactly zero coefficients are dropped.  Degrees
-    are capped at +-SUPPORT_BOUND.
+    normalized support: exactly zero coefficients are dropped.  n is a
+    positive int and each degree an int of modulus at most SUPPORT_BOUND.
     """
 
     def __init__(self, n: int, coeffs=None):
-        self.n = int(n)
+        self.n = _require_int(n, "n", least=1)
         clean = {}
         for k, M in (coeffs or {}).items():
-            k = int(k)
-            if abs(k) > SUPPORT_BOUND:
-                raise ValueError(f"degree {k} exceeds the support bound {SUPPORT_BOUND}")
+            _require_int(k, "degree", -SUPPORT_BOUND, SUPPORT_BOUND)
             M = np.asarray(M, dtype=complex)
             norm = frobenius(M) if M.shape == (self.n, self.n) else np.nan
             # A finite norm of an n x n array already proves finite entries.
@@ -256,10 +253,6 @@ class LaurentMatrixPoly:
             if norm != 0.0:
                 clean[k] = M
         self.coeffs = clean
-
-    @classmethod
-    def zero(cls, n: int) -> "LaurentMatrixPoly":
-        return cls(n, {})
 
     @classmethod
     def one(cls, n: int) -> "LaurentMatrixPoly":
@@ -294,10 +287,8 @@ class LaurentMatrixPoly:
         return self.__mul__(scalar)
 
     def __pow__(self, k: int) -> "LaurentMatrixPoly":
-        if k < 0:
-            raise ValueError("negative powers are expressed via the adjoint")
         out = LaurentMatrixPoly.one(self.n)
-        for _ in range(k):
+        for _ in range(_require_int(k, "exponent")):
             out = out * self
         return out
 
@@ -319,16 +310,16 @@ def generator_image(obj: LinearObject) -> LaurentMatrixPoly:
 def apply_coaction(obj: LinearObject, p) -> LaurentMatrixPoly:
     """Image of a scalar Laurent polynomial under the coaction candidate.
 
-    ``p`` maps degree -> complex coefficient.  Positive powers of the
+    ``p`` maps an int degree -> complex coefficient.  Positive powers of the
     generator go through powers of the generator image, negative powers
     through powers of its adjoint, so the result of a valid candidate is
     automatically star compatible.
     """
     img = generator_image(obj)
     img_bar = img.adjoint()
-    out = LaurentMatrixPoly.zero(obj.n)
+    out = LaurentMatrixPoly(obj.n)
     for k, coef in p.items():
-        k = int(k)
+        _require_int(k, "degree", least=None)
         if coef == 0:
             continue
         base = img ** k if k >= 0 else img_bar ** (-k)

@@ -17,6 +17,7 @@ certificate is a residual recomputed with plain matrix products.
 from __future__ import annotations
 
 import math
+import numbers
 from contextlib import suppress
 from itertools import chain
 
@@ -64,10 +65,30 @@ def _as_array(data, ndim: int, path: str) -> np.ndarray:
     return arr
 
 
-def _require_seed(seed) -> None:
-    """Refuse a seed that is not a non-negative int (a bool is not one)."""
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+def _require_int(value, name: str, least=0, most=None, error=ValueError):
+    """The count rule: value if it is an int (a bool is not one) from least
+    to most, where None is no bound; else error "<name>: expected <rule>,
+    got <value!r>".  Without most, least is None, 0 or 1."""
+    if isinstance(value, int) and not isinstance(value, bool) and (
+            least is None or value >= least) and (most is None or value <= most):
+        return value
+    rules = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}
+    rule = rules[least] if most is None else f"an integer from {least} to {most}"
+    raise error(f"{name}: expected {rule}, got {value!r}")
+
+
+def _require_positive(value, name: str):
+    """The tolerance rule: value if it is a finite real above 0 (a bool is
+    not one), else ValueError naming it as the count rule does."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < value < math.inf:
+        return value
+    raise ValueError(f"{name}: expected a finite positive number, got {value!r}")
+
+
+def _seeded_rng(seed, *tags) -> np.random.Generator:
+    """The named-seed generator: PCG64 seeded by (seed, *tags), once seed
+    passes the count rule."""
+    return np.random.default_rng(np.random.SeedSequence((_require_int(seed, "seed"), *tags)))
 
 
 def adjoint(M: np.ndarray) -> np.ndarray:
@@ -133,8 +154,10 @@ def nullspace_basis(M, tol: float = 1e-9) -> list[np.ndarray]:
 
     Uses Householder QR with column pivoting on the adjoint; the rank is
     the number of diagonal entries of R exceeding tol * frobenius(M).
-    Returns a list of 1-D vectors (possibly empty).
+    Returns a list of 1-D vectors (possibly empty).  tol must be finite
+    and positive.
     """
+    _require_positive(tol, "tol")
     import scipy.linalg
 
     M = as_matrix(M, path="nullspace input")
@@ -194,8 +217,8 @@ def vector_from_json(obj, *, path: str = "vector") -> np.ndarray:
 def _array_from_json(obj, counts: tuple, path: str) -> np.ndarray:
     """Parse {*counts, "data"} to an array shaped by the counts.
 
-    Each count is a non-negative int (a bool, though an int to Python,
-    is not one), and data is a list of as many entries as their product.
+    Each count passes the count rule, and data is a list of as many
+    entries as their product.
     """
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: expected an object, got {type(obj).__name__}")
@@ -204,8 +227,7 @@ def _array_from_json(obj, counts: tuple, path: str) -> np.ndarray:
             raise SchemaError(f"{path}.{key}: missing")
     shape = tuple(obj[key] for key in counts)
     for key, count in zip(counts, shape):
-        if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-            raise SchemaError(f"{path}.{key}: expected a non-negative integer")
+        _require_int(count, f"{path}.{key}", error=SchemaError)
         if count > np.iinfo(np.intp).max // 16:  # numpy's bound on a complex128 axis
             raise SchemaError(f"{path}.{key}: {count} is too large for an array")
     size = math.prod(shape)

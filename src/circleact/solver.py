@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .linalg import _require_seed, adjoint
+from .linalg import _require_int, _require_positive, _seeded_rng, adjoint
 from .coaction import (
     _ADJ,
     _CONSTRAINTS,
@@ -166,7 +166,8 @@ def gradient(A, B, C, D):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Search parameters; residual_tol is the convergence threshold."""
+    """Search parameters; residual_tol is the convergence threshold.  The
+    counts are ints (n at most SOLVE_MAX_N), the floats finite and positive."""
 
     n: int
     restarts: int = 20
@@ -178,17 +179,9 @@ class SolverConfig:
 
     def __post_init__(self):
         for name, least in (("n", 1), ("restarts", 1), ("max_iters", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise ValueError(f"{name} must be at least {least}")
-        if self.n > SOLVE_MAX_N:
-            raise ValueError(f"n must be at most {SOLVE_MAX_N}")
+            _require_int(getattr(self, name), name, least, SOLVE_MAX_N if name == "n" else None)
         for name in ("residual_tol", "grad_tol", "step_init"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+            _require_positive(getattr(self, name), name)
         if self.residual_tol < 1e-14:
             raise ValueError("residual_tol below 1e-14 is not resolvable")
 
@@ -310,7 +303,7 @@ def solve(config: SolverConfig) -> SolverRun:
     n = config.n
     outcomes = []
     for idx in range(config.restarts):
-        rng = np.random.default_rng(np.random.SeedSequence((config.seed, idx)))
+        rng = _seeded_rng(config.seed, idx)
         # The start draws real then imaginary parts of A, B, C, D in turn.
         Z = (1.0 / np.sqrt(2.0 * n)) * rng.standard_normal((4, 2, n, n))
         X, f, iters, stop_reason = _minimize(
@@ -334,11 +327,10 @@ def sample_classical(n: int, seed: int = 0) -> ConjugatePair:
     the phases of the subset into the +1 coefficient and the rest into
     the -1 coefficient, conjugate by W, and take the canonical dual.
     Satisfies all twenty constraints to rounding error, which makes it
-    both a solver fixed point and an oracle for the certifiers.  A seed
-    that is not a non-negative int raises ValueError.
+    both a solver fixed point and an oracle for the certifiers.  An n or
+    a seed that fails its count rule in ``linalg`` raises ValueError.
     """
-    _require_seed(seed)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, n)))
+    rng = _seeded_rng(seed, _require_int(n, "n", least=1))
     raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     Q, R = np.linalg.qr(raw)
     d = np.diag(R).copy()
@@ -362,12 +354,11 @@ def gradient_check(point, seed: int = 0) -> float:
     analytic entry is large and absolute where it is small.  A seed that
     is not a non-negative int raises ValueError.
     """
-    _require_seed(seed)
     step = 1e-6
     X = np.array(point, dtype=complex, order="C")
     x = X.reshape(-1).view(np.float64)
+    rng = _seeded_rng(seed, X.shape[1], x.size)
     g = 2.0 * _gradient(_penalty(X)[1]).reshape(-1).view(np.float64)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, X.shape[1], x.size)))
     picks = rng.integers(0, x.size, size=32)
     worst = 0.0
     for j in picks:

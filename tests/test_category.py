@@ -329,7 +329,7 @@ class TestDecomposeRoutes:
             raise AssertionError("End(X) computed for a refused seed")
 
         monkeypatch.setattr("circleact.category.morphism_space", refuse)
-        message = f"^seed must be a non-negative integer, got {seed!r}$"
+        message = f"^seed: expected a non-negative integer, got {seed!r}$"
         with pytest.raises(ValueError, match=message):
             route(X, 1e-9, seed)
 

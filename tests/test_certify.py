@@ -272,7 +272,7 @@ class TestClassicalForm:
 
     @pytest.mark.parametrize("seed", [-1, True, 1.0], ids=["negative", "bool", "float"])
     def test_seed_must_be_a_non_negative_int(self, seed):
-        message = f"^seed must be a non-negative integer, got {seed!r}$"
+        message = f"^seed: expected a non-negative integer, got {seed!r}$"
         with pytest.raises(ValueError, match=message):
             classical_form(sample_classical(3, seed=5).object, seed=seed)
 

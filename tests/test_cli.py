@@ -134,6 +134,7 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, ["solve", "--n", "1", "--restarts", "0"])
         assert code == 2
         assert "config" in err
+        assert err == "error: config: restarts: expected a positive integer, got 0\n"
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
     @pytest.mark.parametrize(
@@ -485,12 +486,12 @@ class TestInputContract:
 
     def test_solver_config_rejects_n_above_cap(self):
         SolverConfig(n=SOLVE_MAX_N, restarts=1)
-        with pytest.raises(ValueError, match=f"at most {SOLVE_MAX_N}"):
+        with pytest.raises(ValueError, match=f"^n: expected an integer from 1 to {SOLVE_MAX_N}, got {SOLVE_MAX_N + 1}$"):
             SolverConfig(n=SOLVE_MAX_N + 1, restarts=1)
 
     def test_solver_config_rejects_negative_seed(self):
         SolverConfig(n=2, seed=0)
-        with pytest.raises(ValueError, match="^seed must be at least 0$"):
+        with pytest.raises(ValueError, match="^seed: expected a non-negative integer, got -1$"):
             SolverConfig(n=2, seed=-1)
 
     def test_overflowing_check_exits_one_without_warnings(self, tmp_path):
@@ -800,35 +801,35 @@ HUGE, BIG = ({"rows": 0, "cols": cols, "data": []} for cols in (10**30, 2**62))
 READER_MESSAGES = [
     ("check", ("A",), [1.0], "input.A: expected an object, got list"),
     ("check", ("A", "cols"), REMOVE, "input.A.cols: missing"),
-    ("check", ("A", "rows"), True, "input.A.rows: expected a non-negative integer"),
-    ("check", ("A", "cols"), -1, "input.A.cols: expected a non-negative integer"),
+    ("check", ("A", "rows"), True, "input.A.rows: expected a non-negative integer, got True"),
+    ("check", ("A", "cols"), -1, "input.A.cols: expected a non-negative integer, got -1"),
     ("check", ("B", "data"), [], "input.B.data: expected a list of 1 entries"),
     ("check", ("A", "data", 0), [1.0], "input.A.data[0]: expected a [re, im] pair of numbers"),
     ("check", ("B", "data", 0, 1), NON_FINITE, "input.B.data[0]: non-finite entries are not admitted"),
     ("certify", ("s",), "x", "input.s: expected an object, got str"),
     ("certify", ("t", "dim"), REMOVE, "input.t.dim: missing"),
-    ("certify", ("s", "dim"), False, "input.s.dim: expected a non-negative integer"),
-    ("certify", ("t", "dim"), -2, "input.t.dim: expected a non-negative integer"),
+    ("certify", ("s", "dim"), False, "input.s.dim: expected a non-negative integer, got False"),
+    ("certify", ("t", "dim"), -2, "input.t.dim: expected a non-negative integer, got -2"),
     ("certify", ("s", "data"), LONG["data"], "input.s.data: expected a list of 1 entries"),
     ("certify", ("s", "data", 0), None, "input.s.data[0]: expected a [re, im] pair of numbers"),
     ("certify", ("t", "data", 0, 0), NON_FINITE, "input.t.data[0]: non-finite entries are not admitted"),
     ("check", (), [], "input: expected an object"),
     ("check", ("B",), REMOVE, "input.B: missing"),
-    ("check", ("n",), True, "input.n: expected a positive integer"),
-    ("check", ("n",), -1, "input.n: expected a positive integer"),
+    ("check", ("n",), True, "input.n: expected a positive integer, got True"),
+    ("check", ("n",), -1, "input.n: expected a positive integer, got -1"),
     ("check", ("A",), WIDE, "input: expected two 1x1 matrices, got (1, 2) and (1, 1)"),
     ("check", ("n",), 2, "input: expected two 2x2 matrices, got (1, 1) and (1, 1)"),
     ("certify", (), "x", "input: expected an object"),
     ("certify", ("D",), REMOVE, "input.D: missing"),
-    ("certify", ("n",), False, "input.n: expected a positive integer"),
+    ("certify", ("n",), False, "input.n: expected a positive integer, got False"),
     ("certify", ("A",), WIDE, "input: expected two 1x1 matrices, got (1, 2) and (1, 1)"),
     ("certify", ("D",), WIDE, "input: expected two 1x1 matrices, got (1, 1) and (1, 2)"),
     ("certify", ("s",), LONG, "input: s: expected length 1, got 2"),
     ("certify", ("t",), LONG, "input: t: expected length 1, got 2"),
     ("snake", (), [], "input: expected an object with an 'n' field"),
     ("snake", ("n",), REMOVE, "input: expected an object with an 'n' field"),
-    ("snake", ("n",), True, f"input.n: expected an integer from 1 to {MAX_N}"),
-    ("snake", ("s", "dim"), -1, "input.s.dim: expected a non-negative integer"),
+    ("snake", ("n",), True, f"input.n: expected an integer from 1 to {MAX_N}, got True"),
+    ("snake", ("s", "dim"), -1, "input.s.dim: expected a non-negative integer, got -1"),
     ("snake", ("t", "data", 0), None, "input.t.data[0]: expected a [re, im] pair of numbers"),
     ("snake", ("s",), LONG, "input: s: expected length 1, got 2"),
     ("check", ("A",), HUGE, f"input.A.cols: {10**30} is too large for an array"),
@@ -868,6 +869,21 @@ class TestSnakeInput:
         monkeypatch.setattr("sys.stdin", io.StringIO(bare))
         assert run_cli(capsys, ["snake", "--reproducible"]) == (0, out, "")
         assert code == 0
+
+    def test_n_with_input_exits_two_before_reading(self, capsys, monkeypatch, tmp_path):
+        # --n 5 beside a file of n = 2 was ignored without a word.
+        _, sampled, _ = run_cli(capsys, ["sample", "--n", "2"])
+        path = tmp_path / "p2.json"
+        path.write_text(sampled, encoding="utf-8")
+        assert run_cli(capsys, ["snake", "--input", str(path)])[0] == 0
+
+        def refuse(_path):
+            raise AssertionError("input read despite the conflict")
+
+        monkeypatch.setattr("circleact.cli._read_payload", refuse)
+        code, out, err = run_cli(capsys, ["snake", "--input", str(path), "--n", "5"])
+        assert (code, out) == (2, "")
+        assert err == "error: --n: not allowed with --input, whose document gives n\n"
 
     def test_snake_output_is_not_snake_input(self, capsys, monkeypatch):
         _, report, _ = run_cli(capsys, ["snake", "--n", "2"])

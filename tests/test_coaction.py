@@ -68,7 +68,7 @@ class TestTypes:
     def test_object_refuses_n_that_is_not_a_positive_int(self, n):
         # 1.0 would be written as "n": 1.0, which from_json refuses; 0 would
         # reach decompose and fail inside numpy.
-        with pytest.raises(ValueError, match=f"^n must be a positive integer, got {n!r}$"):
+        with pytest.raises(ValueError, match=f"^n: expected a positive integer, got {n!r}$"):
             LinearObject(n, np.eye(1), np.zeros((1, 1)))
 
     def test_kac_vector(self):

@@ -1,6 +1,7 @@
 """Solver tests: penalty, analytic gradient, restarts, sampling, determinism."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from circleact.coaction import (
 from circleact import solver
 from circleact.linalg import frobenius
 from circleact.solver import (
+    SOLVE_MAX_N,
     SolverConfig,
     SolverRun,
     gradient_check,
@@ -85,7 +87,7 @@ class TestGradient:
     @pytest.mark.parametrize("seed", [-1, True, 1.0], ids=["negative", "bool", "float"])
     def test_seed_must_be_a_non_negative_int(self, seed):
         pair = sample_classical(2, seed=0)
-        with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {seed!r}$"):
+        with pytest.raises(ValueError, match=f"^seed: expected a non-negative integer, got {seed!r}$"):
             gradient_check((pair.object.A, pair.object.B, pair.C, pair.D), seed=seed)
 
 
@@ -275,7 +277,7 @@ class TestSampleClassical:
     @pytest.mark.parametrize("seed", [-1, True, 1.0], ids=["negative", "bool", "float"])
     def test_seed_must_be_a_non_negative_int(self, seed):
         # A bool is refused, not read as seed 1.
-        with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {seed!r}$"):
+        with pytest.raises(ValueError, match=f"^seed: expected a non-negative integer, got {seed!r}$"):
             sample_classical(3, seed=seed)
 
     def test_distinct_seeds_distinct_samples(self):
@@ -312,7 +314,9 @@ class TestConfigValidation:
     def test_non_int_integer_field(self, field, value):
         # Refused here, a float n cannot reach solve, whose TypeError would
         # name no field.
-        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+        rule = {"n": f"an integer from 1 to {SOLVE_MAX_N}", "seed": "a non-negative integer"}
+        message = f"^{field}: expected {rule.get(field, 'a positive integer')}, got "
+        with pytest.raises(ValueError, match=message + re.escape(repr(value)) + "$"):
             SolverConfig(**{"n": 2, "restarts": 1, field: value})
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, 0.0])
