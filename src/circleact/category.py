@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import adjoint, frobenius, kron, nullspace_basis, unvec
-from .linalg import _matrix_to_json, _require_int
+from .linalg import _matrix_to_json, _require_int, _require_positive
 from .coaction import CertificateReport, CheckResult, LinearObject, check_homomorphism
 from .coaction import _as_pairing, _object_json
 from .certify import (
@@ -85,6 +85,7 @@ def morphism_space(X: LinearObject, Y: LinearObject, tol: float = 1e-9) -> Morph
     joint nullspace of the two linearized equations is returned, each
     vector reshaped to an n_Y x n_X matrix.  tol is finite and positive.
     """
+    _require_positive(tol, "tol")  # before the two m^2 x m^2 blocks
     nx, ny = X.n, Y.n
     Iy = np.eye(ny, dtype=complex)
     Ix = np.eye(nx, dtype=complex)

@@ -125,7 +125,7 @@ def certify_duality(pair: ConjugatePair, tol: float = 1e-9) -> CertificateReport
 
 def _standard_pairing(pair: ConjugatePair) -> bool:
     kv = kac_vector(pair.object.n)
-    return bool(np.linalg.norm(pair.s - kv) <= 1e-12 and np.linalg.norm(pair.t - kv) <= 1e-12)
+    return bool(frobenius(pair.s - kv) <= 1e-12 and frobenius(pair.t - kv) <= 1e-12)
 
 
 def _certify_duality(pair: ConjugatePair, tol: float) -> CertificateReport:

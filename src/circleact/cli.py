@@ -39,7 +39,7 @@ import numpy as np
 
 from . import __version__
 from .linalg import DimensionMismatch, NoConvergence, SchemaError, vector_from_json
-from .linalg import _require_int, _require_positive
+from .linalg import _require_int, _require_positive, _shown
 from .coaction import (
     CertificateReport,
     CheckResult,
@@ -104,7 +104,7 @@ def _unwrap(payload):
             if key in payload:
                 return payload[key]
         raise SchemaError(
-            f"input: a {payload['kind']!r} output carries no object to re-read"
+            f"input: a {_shown(payload['kind'])} output carries no object to re-read"
         )
     return payload
 

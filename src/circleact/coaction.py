@@ -442,11 +442,13 @@ def composite_on_vector(outer: LinearObject, inners, v: np.ndarray) -> list:
     The expansion is ``compose_image``'s, but each term kron(G, M) is
     applied to v = vec(S) as vec(G S M^T) (see ``kron``): O(n^3), and
     no n^2 x n^2 matrix is formed.  Returns one {degree: vector} per
-    inner, with every degree the expansion produces.
+    inner, with every degree the expansion produces.  Inner degrees are
+    +1 and -1 only (another raises KeyError): ``apply_coaction``'s images
+    of them, up to the sign of zeros, are the generator image and adjoint.
     """
     S = unvec(v, outer.n, inners[0].n)
-    degrees = set().union(*(inner.coeffs for inner in inners))
-    images = {k: apply_coaction(outer, {k: 1.0}) for k in degrees}
+    img = generator_image(outer)
+    images = {1: img, -1: img.adjoint()}
     out = []
     for inner in inners:
         terms: dict = {}
@@ -476,7 +478,6 @@ def check_conjugate_raw(pair: ConjugatePair, tol: float = 1e-9) -> CertificateRe
         on_gen, on_adj = composite_on_vector(outer, (gen, gen.adjoint()), vecv)
         for gen_label, vecs, fix_deg in ((f"gen,{label}", on_gen, +1), (f"gen*,{label}", on_adj, -1)):
             for d in sorted(set(vecs) | {+1, -1}):
-                target = vecv if d == fix_deg else 0.0
-                residual = float(np.linalg.norm(vecs.get(d, 0.0) - target))
+                residual = frobenius(vecs.get(d, 0.0) - (vecv if d == fix_deg else 0.0))
                 checks.append(CheckResult(f"raw[{gen_label},deg{d:+d}]", residual, tol))
     return CertificateReport(tol, tuple(checks))

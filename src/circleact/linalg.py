@@ -68,21 +68,28 @@ def _as_array(data, ndim: int, path: str) -> np.ndarray:
 def _require_int(value, name: str, least=0, most=None, error=ValueError):
     """The count rule: value if it is an int (a bool is not one) from least
     to most, where None is no bound; else error "<name>: expected <rule>,
-    got <value!r>".  Without most, least is None, 0 or 1."""
+    got <value!r>" (see ``_shown``).  Without most, least is None, 0 or 1."""
     if isinstance(value, int) and not isinstance(value, bool) and (
             least is None or value >= least) and (most is None or value <= most):
         return value
     rules = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}
     rule = rules[least] if most is None else f"an integer from {least} to {most}"
-    raise error(f"{name}: expected {rule}, got {value!r}")
+    raise error(f"{name}: expected {rule}, got {_shown(value)}")
 
 
 def _require_positive(value, name: str):
-    """The tolerance rule: value if it is a finite real above 0 (a bool is
-    not one), else ValueError naming it as the count rule does."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < value < math.inf:
-        return value
-    raise ValueError(f"{name}: expected a finite positive number, got {value!r}")
+    """The tolerance rule: value if it is a real (a bool is not one) whose
+    float is finite and above 0, else ValueError naming it as the count rule does."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with suppress(OverflowError):  # float() of an int beyond float range
+            if 0 < float(value) < math.inf:
+                return value
+    raise ValueError(f"{name}: expected a finite positive number, got {_shown(value)}")
+
+
+def _shown(value) -> str:
+    """repr(value) as a refusal echoes it: cut after 60 characters, with "…"."""
+    return text if len(text := repr(value)) <= 60 else text[:60] + "…"
 
 
 def _seeded_rng(seed, *tags) -> np.random.Generator:
@@ -97,8 +104,11 @@ def adjoint(M: np.ndarray) -> np.ndarray:
 
 
 def frobenius(M: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(M))
+    """Frobenius norm: ``np.linalg.norm``'s sums, without its wrapper for complex128."""
+    if getattr(M, "dtype", None) != np.complex128:
+        return float(np.linalg.norm(M))
+    x = M.ravel(order="K")
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
 def kron(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -240,20 +250,18 @@ def _array_from_json(obj, counts: tuple, path: str) -> np.ndarray:
 def _parse_entries(data: list, *, path: str) -> np.ndarray:
     """Decode a list of [re, im] pairs to a 1-D complex128 array.
 
-    When three C-level scans find every entry a ``list`` of two items of
-    type exactly ``int`` or ``float``, one ``np.array`` call converts
-    them all, reinterpreted bit for bit as complex.  Anything else, or a
-    non-finite result, goes through the loop that names the faulty path.
+    When C-level scans find every entry a ``list`` of two items of type
+    exactly ``int`` or ``float``, one ``np.array`` call converts the
+    flattened items, reinterpreted bit for bit as complex.  Anything else,
+    or a non-finite result, goes through the loop naming the faulty path.
     """
-    if (
-        set(map(type, data)) == {list}
-        and set(map(len, data)) == {2}
-        and set(map(type, chain.from_iterable(data))) <= {int, float}
-    ):
-        with suppress(OverflowError):  # an int beyond float range
-            pairs = np.array(data, dtype=float)
-            if np.isfinite(pairs).all():
-                return pairs.view(complex).reshape(-1)
+    if set(map(type, data)) == {list} and set(map(len, data)) == {2}:
+        flat = list(chain.from_iterable(data))
+        if set(map(type, flat)) <= {int, float}:
+            with suppress(OverflowError):  # an int beyond float range
+                pairs = np.array(flat, dtype=float)
+                if np.isfinite(pairs).all():
+                    return pairs.view(complex)
     out = np.empty(len(data), dtype=complex)
     for i, entry in enumerate(data):
         out[i] = _parse_complex(entry, path=f"{path}[{i}]")

@@ -68,9 +68,33 @@ class TestLibraryTolerance:
         with pytest.raises(ValueError, match=message):
             SolverConfig(n=1, residual_tol=True)
 
-    @pytest.mark.parametrize("tol", [1e-9, 1, np.float64(1e-6), np.float32(1e-3), 10**400])
+    @pytest.mark.parametrize("tol", [1e-9, 1, np.float64(1e-6), np.float32(1e-3), 2**1023])
     def test_finite_positive_reals_pass(self, tol):
         assert linalg._require_positive(tol, "tol") is tol
+
+    @pytest.mark.parametrize("tol", [10**400, 2**1024, 2**1024 - 2**970])
+    @pytest.mark.parametrize("certifier", [check_homomorphism, classical_form, decompose])
+    def test_certifier_refuses_an_int_beyond_float_range(self, certifier, tol):
+        # 10**400 passed the rule, then classical_form raised OverflowError
+        # from tol * sqrt(n).  2**1024 - 2**970 is below 2**1024 but its
+        # float() rounds up to it and overflows.
+        with pytest.raises(ValueError, match="^tol: expected a finite positive number, got "):
+            certifier(sample_classical(3, seed=1).object, tol)
+
+    def test_solver_config_refuses_an_int_beyond_float_range(self):
+        message = "^residual_tol: expected a finite positive number, got 1000"
+        with pytest.raises(ValueError, match=message):
+            SolverConfig(n=1, residual_tol=10**400)
+
+    def test_morphism_space_refuses_tolerance_before_its_blocks(self, monkeypatch):
+        # At m = 36 the two m^2 x m^2 blocks took ~240 ms before the refusal.
+        def no_blocks(*_args):
+            raise AssertionError("Kronecker blocks built for a refused tol")
+
+        monkeypatch.setattr("circleact.category.kron", no_blocks)
+        for tol in (math.inf, math.nan, 0.0, 10**400):
+            with pytest.raises(ValueError, match="^tol: expected a finite positive number, got "):
+                morphism_space(OBJ, OBJ, tol=tol)
 
 
 class TestLibraryCounts:
@@ -130,6 +154,20 @@ class TestLibraryCounts:
             with pytest.raises(ValueError) as info:
                 linalg._require_int(*args)
             assert str(info.value) == message
+
+    def test_echoed_value_is_cut_after_sixty_characters(self):
+        cases = [
+            (lambda v: linalg._require_int(v, "rows"), "rows: expected a non-negative integer, got "),
+            (lambda v: linalg._require_positive(v, "tol"), "tol: expected a finite positive number, got "),
+        ]
+        # A list of 200,000 zeros is echoed as its first 60 characters; a
+        # 60-character repr is echoed whole.
+        echoes = [([0] * 200_000, repr([0] * 30)[:60] + "…"), ("x" * 58, repr("x" * 58))]
+        for rule, prefix in cases:
+            for value, shown in echoes:
+                with pytest.raises(ValueError) as info:
+                    rule(value)
+                assert str(info.value) == prefix + shown
 
     def test_seeded_rng_is_the_named_seed_generator(self):
         ours = linalg._seeded_rng(7, 3, 4).standard_normal(5)

@@ -859,6 +859,21 @@ class TestReaderMessages:
         path = reader_input(tmp_path, command, where, value, wrapped=True)
         assert run_cli(capsys, [command, "--input", path]) == (2, "", f"error: {message}\n")
 
+    def test_long_document_value_is_echoed_in_one_short_line(self, capsys, tmp_path):
+        # A list of 200,000 zeros at A.rows was echoed whole: a 600,059-byte line.
+        path = reader_input(tmp_path, "check", ("A", "rows"), [0] * 200_000)
+        code, out, err = run_cli(capsys, ["check", "--input", path])
+        assert (code, out) == (2, "")
+        prefix = "error: input.A.rows: expected a non-negative integer, got [0, 0, "
+        assert err.startswith(prefix) and err.endswith("…\n"), err[:100]
+        assert err.count("\n") == 1 and len(err.encode()) < 200
+
+    def test_long_kind_is_echoed_in_one_short_line(self, capsys, tmp_path):
+        path = write_json(tmp_path / "kind.json", {"kind": "x" * 100_000})
+        code, out, err = run_cli(capsys, ["check", "--input", path])
+        assert (code, out) == (2, "")
+        assert err == f"error: input: a {repr('x' * 100_000)[:60]}… output carries no object to re-read\n"
+
 
 class TestSnakeInput:
     def test_sample_envelope_feeds_snake(self, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Coaction layer tests: objects, Laurent algebra, and the two dual checkers."""
 
+import struct
 import tracemalloc
 
 import numpy as np
@@ -24,7 +25,7 @@ from circleact.coaction import (
     reflection,
     rotation,
 )
-from circleact.linalg import DimensionMismatch, SchemaError, adjoint, frobenius
+from circleact.linalg import DimensionMismatch, SchemaError, adjoint, frobenius, unvec, vec
 from circleact.solver import sample_classical
 
 # Matrix-route check name -> raw-route check name for the same equation.
@@ -440,3 +441,79 @@ class TestRawRouteAgainstKron:
             pair = raw_case(5, kind)
             assert check_conjugate_raw(pair).overall_pass
             assert kron_route(pair).overall_pass
+
+
+def apply_coaction_expansion(outer, inners, v):
+    """``composite_on_vector`` with every degree's image from ``apply_coaction``."""
+    S = unvec(v, outer.n, inners[0].n)
+    degrees = set().union(*(inner.coeffs for inner in inners))
+    images = {k: apply_coaction(outer, {k: 1.0}) for k in degrees}
+    out = []
+    for inner in inners:
+        terms = {}
+        for k, M in inner.coeffs.items():
+            for d, G in images[k].coeffs.items():
+                terms[d] = terms.get(d, 0) + G @ S @ M.T
+        out.append({d: vec(T) for d, T in terms.items()})
+    return out
+
+
+def expansion_route(pair):
+    """(name, residual) of every raw check, along ``apply_coaction_expansion``."""
+    checks = []
+    obj, dual = pair.object, pair.dual_object
+    for label, outer, inner, v in (("s", dual, obj, pair.s), ("t", obj, dual, pair.t)):
+        gen = generator_image(inner)
+        on_gen, on_adj = apply_coaction_expansion(outer, (gen, gen.adjoint()), v)
+        for gen_label, vecs, fix_deg in ((f"gen,{label}", on_gen, +1), (f"gen*,{label}", on_adj, -1)):
+            for d in sorted(set(vecs) | {+1, -1}):
+                residual = float(np.linalg.norm(vecs.get(d, 0.0) - (v if d == fix_deg else 0.0)))
+                checks.append((f"raw[{gen_label},deg{d:+d}]", residual))
+    return checks
+
+
+def oracle_case(n, kind):
+    if kind == "sampled":
+        return sample_classical(n, seed=n)
+    if kind == "perturbed":
+        return perturbed(sample_classical(n, seed=n), np.random.default_rng(n), eps=1e-4)
+    return raw_case(n, kind, seed=n)
+
+
+ORACLE_KINDS = ["sampled", "perturbed", "cancelling", "rotation", "reflection", "nonstandard"]
+
+
+class TestRawRouteAgainstApplyCoaction:
+    """The generator image and its adjoint stand in for apply_coaction's
+    degree +1 and -1 images; every residual keeps its bits."""
+
+    @pytest.mark.parametrize("kind", ORACLE_KINDS)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 16])
+    def test_residuals_and_degrees_are_bit_identical(self, n, kind):
+        pair = oracle_case(n, kind)
+        got = [(c.name, c.residual) for c in check_conjugate_raw(pair).checks]
+        want = expansion_route(pair)
+        assert [name for name, _ in got] == [name for name, _ in want]
+        for (name, a), (_, b) in zip(got, want):
+            assert struct.pack("<d", a) == struct.pack("<d", b), (name, a, b)
+
+    @pytest.mark.parametrize("kind", ORACLE_KINDS)
+    @pytest.mark.parametrize("n", [1, 3, 16])
+    def test_vectors_equal_up_to_the_sign_of_zero(self, n, kind):
+        pair = oracle_case(n, kind)
+        obj, dual = pair.object, pair.dual_object
+        for outer, inner, v in ((dual, obj, pair.s), (obj, dual, pair.t)):
+            gen = generator_image(inner)
+            inners = (gen, gen.adjoint())
+            got = composite_on_vector(outer, inners, v)
+            want = apply_coaction_expansion(outer, inners, v)
+            for g, w in zip(got, want):
+                assert sorted(g) == sorted(w)
+                assert all(np.array_equal(g[d], w[d]) for d in g)
+
+    @pytest.mark.parametrize("degree", [0, 2, -2])
+    def test_other_inner_degrees_are_refused(self, degree):
+        pair = oracle_case(3, "sampled")
+        inner = LaurentMatrixPoly(3, {degree: pair.C, -1: pair.D})
+        with pytest.raises(KeyError):
+            composite_on_vector(pair.object, (inner,), pair.s)

@@ -1,6 +1,7 @@
 """Matrix kernel tests: Kronecker conventions, eigensolver, nullspace, codecs."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -328,3 +329,128 @@ class TestDecodeFastPath:
     def test_bool_vector_dim_names_field(self):
         with pytest.raises(SchemaError, match=r"^s\.dim: "):
             vector_from_json({"dim": True, "data": [[1.0, 0.0]]}, path="s")
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def norm_cases(dtype):
+    """Arrays of dtype in every memory layout ``frobenius`` may be handed."""
+    rng = np.random.default_rng(21)
+    M = rng.standard_normal((5, 7)) * 10.0 ** rng.integers(-5, 6, (5, 7))
+    if dtype == complex:
+        M = M + 1j * rng.standard_normal((5, 7))
+    M = M.astype(dtype)
+    with_inf, with_nan, with_both = M.copy(), M.copy(), M.copy()
+    with_inf[1, 2] = np.inf
+    with_nan[3, 4] = np.nan
+    with_both[0, 0], with_both[4, 6] = -np.inf, np.nan
+    return {
+        "C": M,
+        "F": np.asfortranarray(M),
+        "transposed": M.T,
+        "conjugated": M.conj(),
+        "adjoint": M.conj().T,
+        "sliced": M[::2, 1::3],
+        "negative strides": M[::-1, ::-2],
+        "1-D": M[2],
+        "column": M[:, 3],
+        "empty": M[:0],
+        "empty 1-D": M.reshape(-1)[:0],
+        "one entry": M[:1, :1],
+        "inf": with_inf,
+        "nan": with_nan,
+        "inf and nan": with_both,
+        "overflowing squares": np.full((3, 3), 1e200, dtype=dtype),
+        "subnormal": np.full(4, 5e-324, dtype=dtype),
+    }
+
+
+class TestFrobenius:
+    @pytest.mark.parametrize("dtype", [complex, float], ids=["complex128", "float64"])
+    def test_equals_numpy_norm_bit_for_bit(self, dtype):
+        for name, M in norm_cases(dtype).items():
+            with np.errstate(over="ignore"):  # the 1e200 squares overflow to inf
+                got, want = frobenius(M), float(np.linalg.norm(M))
+            assert type(got) is float, name
+            assert bits(got) == bits(want), (name, got, want)
+
+    def test_other_inputs_go_through_numpy_norm(self):
+        for M in (np.eye(3, dtype=np.float32), np.arange(4), 0.0, 3, [[3.0, 4.0]]):
+            assert bits(frobenius(M)) == bits(float(np.linalg.norm(M)))
+
+
+def seeded_entries(seed, size):
+    """Numeric [re, im] pairs mixing ints, ints above 2**53 and edge floats."""
+    rng = np.random.default_rng(seed)
+    specials = [0, -0.0, 0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 2**53 + 1, -(2**60) - 1]
+    items = []
+    for _ in range(2 * size):
+        kind = rng.integers(4)
+        if kind == 0:
+            items.append(float(rng.standard_normal() * 10.0 ** rng.integers(-300, 300)))
+        elif kind == 1:
+            items.append(int(rng.integers(-(2**62), 2**62)) * int(rng.integers(1, 2**20)))
+        else:
+            items.append(specials[rng.integers(len(specials))])
+    return [items[i:i + 2] for i in range(0, len(items), 2)]
+
+
+# Entries the fast path cannot take, each with the loop's message.
+SHAPE = "expected a [re, im] pair of numbers"
+NOT_FINITE = "non-finite entries are not admitted"
+MALFORMED = [
+    (True, SHAPE),
+    ([True, 0.0], SHAPE),
+    ([0.0, False], SHAPE),
+    (["1.0", 0.0], SHAPE),
+    ([[0.0, 0.0], 0.0], SHAPE),
+    ([1.0], SHAPE),
+    ([1.0, 2.0, 3.0], SHAPE),
+    ((1.0, 2.0), None),  # a tuple is a pair for the loop, never for the fast path
+    ([10**400, 0], NOT_FINITE),
+    ([0, -(10**400)], NOT_FINITE),
+    ([2**1024 - 2**970, 0], NOT_FINITE),  # an int whose float() rounds up to overflow
+    ([1.7e308, float("inf")], NOT_FINITE),
+    ([float("nan"), 0.0], NOT_FINITE),
+]
+
+
+class TestFlatDecode:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_fast_path_matches_the_loop_bit_for_bit(self, monkeypatch, seed):
+        data = seeded_entries(seed, size=[1, 2, 16, 256, 257, 1000, 3, 64][seed])
+        want = loop_decode(data, "v.data")
+
+        def no_loop(entry, *, path):
+            raise AssertionError(f"{path} left the fast path")
+
+        monkeypatch.setattr(linalg, "_parse_complex", no_loop)
+        got = vector_from_json({"dim": len(data), "data": data}, path="v")
+        assert got.dtype == complex and got.shape == (len(data),)
+        assert got.tobytes() == want.tobytes()
+        got = matrix_from_json({"rows": 1, "cols": len(data), "data": data}, path="v")
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("entry, message", MALFORMED, ids=lambda x: repr(x)[:20])
+    def test_malformed_entry_reaches_the_loop_named_by_its_path(self, monkeypatch, entry, message):
+        data = seeded_entries(99, size=40)
+        at = 23
+        data[at] = entry
+        seen = []
+        parse = linalg._parse_complex
+
+        def spy(entry, *, path):
+            seen.append(path)
+            return parse(entry, path=path)
+
+        monkeypatch.setattr(linalg, "_parse_complex", spy)
+        if message is None:
+            got = vector_from_json({"dim": len(data), "data": data}, path="v")
+            assert got[at] == complex(*entry) and len(seen) == len(data)
+            return
+        with pytest.raises(SchemaError) as info:
+            vector_from_json({"dim": len(data), "data": data}, path="v")
+        assert str(info.value) == f"v.data[{at}]: {message}"
+        assert seen[-1] == f"v.data[{at}]"
