@@ -67,12 +67,12 @@ def _as_array(data, ndim: int, path: str) -> np.ndarray:
 
 def _require_int(value, name: str, least=0, most=None, error=ValueError):
     """The count rule: value if it is an int (a bool is not one) from least
-    to most, where None is no bound; else error "<name>: expected <rule>,
-    got <value!r>" (see ``_shown``).  Without most, least is None, 0 or 1."""
+    to most, where a most of None is no bound; else error "<name>: expected
+    <rule>, got <value!r>" (see ``_shown``).  Without most, least is 0 or 1."""
     if isinstance(value, int) and not isinstance(value, bool) and (
-            least is None or value >= least) and (most is None or value <= most):
+            value >= least) and (most is None or value <= most):
         return value
-    rules = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}
+    rules = {0: "a non-negative integer", 1: "a positive integer"}
     rule = rules[least] if most is None else f"an integer from {least} to {most}"
     raise error(f"{name}: expected {rule}, got {_shown(value)}")
 
@@ -88,8 +88,16 @@ def _require_positive(value, name: str):
 
 
 def _shown(value) -> str:
-    """repr(value) as a refusal echoes it: cut after 60 characters, with "…"."""
-    return text if len(text := repr(value)) <= 60 else text[:60] + "…"
+    """repr(value) as a refusal echoes it: cut after 60 characters, with "…".
+    An int too long for repr (see sys.set_int_max_str_digits) is shown by
+    its bit length, and anything else whose repr fails by its type."""
+    try:
+        text = repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
+        return f"a {type(value).__name__} too long to show"
+    return text if len(text) <= 60 else text[:60] + "…"
 
 
 def _seeded_rng(seed, *tags) -> np.random.Generator:

@@ -1,4 +1,5 @@
-"""Coaction layer tests: objects, Laurent algebra, and the two dual checkers."""
+"""Coaction layer tests: objects, the two dual checkers, and the raw route
+against the Laurent-expression oracles of ``oracles``."""
 
 import struct
 import tracemalloc
@@ -6,27 +7,33 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from circleact.certify import canonical_dual
 from circleact.coaction import (
     _NAMES,
-    SUPPORT_BOUND,
     CertificateReport,
     CheckResult,
     ConjugatePair,
-    LaurentMatrixPoly,
     LinearObject,
-    apply_coaction,
     check_conjugate_matrix,
     check_conjugate_raw,
     check_homomorphism,
-    compose_image,
     composite_on_vector,
-    generator_image,
     kac_vector,
     reflection,
     rotation,
 )
 from circleact.linalg import DimensionMismatch, SchemaError, adjoint, frobenius, unvec, vec
 from circleact.solver import sample_classical
+from oracles import (
+    apply_coaction,
+    compose_image,
+    distance,
+    generator_image,
+    laurent,
+    power,
+    product,
+    star,
+)
 
 # Matrix-route check name -> raw-route check name for the same equation.
 ROUTE_PAIRING = {
@@ -110,78 +117,46 @@ class TestTypes:
             ConjugatePair.from_json(payload)
 
 
-class TestLaurentAlgebra:
+class TestLaurentOracle:
     def test_support_normalization(self):
-        p = LaurentMatrixPoly(2, {0: np.eye(2), 3: np.zeros((2, 2))})
-        assert p.degrees() == [0]
-
-    def test_support_bound_enforced(self):
-        with pytest.raises(ValueError):
-            LaurentMatrixPoly(1, {SUPPORT_BOUND + 1: np.eye(1)})
-
-    @pytest.mark.parametrize(
-        "coeff, error, text",
-        [
-            (np.eye(3), DimensionMismatch, "expected 2x2"),
-            (np.ones(4), DimensionMismatch, "ndim=1"),
-            (np.ones((2, 2, 1)), DimensionMismatch, "ndim=3"),
-            (np.array([[np.nan, 0.0], [0.0, 1.0]]), ValueError, "non-finite"),
-            (np.array([[1.0, 0.0], [0.0, -np.inf]]), ValueError, "non-finite"),
-            (np.full((3, 3), np.nan), ValueError, "non-finite"),
-        ],
-    )
-    def test_coefficient_validation(self, coeff, error, text):
-        with pytest.raises(error, match=text):
-            LaurentMatrixPoly(2, {0: coeff})
-
-    def test_coefficient_with_overflowing_norm_is_kept(self):
-        with np.errstate(over="ignore"):
-            p = LaurentMatrixPoly(2, {1: np.full((2, 2), 1e308), 0: [[1, 0], [0, 1]]})
-        assert p.degrees() == [0, 1]
-        assert p.coeff(0).dtype == complex
-
-    def test_support_bound_through_products(self):
-        img = generator_image(rotation(np.exp(0.2j)))
-        with pytest.raises(ValueError):
-            img ** (SUPPORT_BOUND + 1)
+        assert sorted(laurent({0: np.eye(2), 3: np.zeros((2, 2))})) == [0]
 
     def test_product_convolution(self):
-        p = LaurentMatrixPoly(1, {1: np.array([[2.0]])})
-        q = LaurentMatrixPoly(1, {-1: np.array([[3.0]]), 2: np.array([[5.0]])})
-        r = p * q
-        assert r.degrees() == [0, 3]
-        assert r.coeff(0)[0, 0] == 6.0
-        assert r.coeff(3)[0, 0] == 10.0
+        p = {1: np.array([[2.0]])}
+        q = {-1: np.array([[3.0]]), 2: np.array([[5.0]])}
+        r = product(p, q)
+        assert sorted(r) == [0, 3]
+        assert r[0][0, 0] == 6.0
+        assert r[3][0, 0] == 10.0
 
-    def test_adjoint_involution(self):
+    def test_star_involution(self):
         img = generator_image(sample_classical(2, seed=15).object)
-        assert img.adjoint().adjoint().distance(img) == 0.0
+        assert distance(star(star(img)), img) == 0.0
 
-    def test_adjoint_reverses_products(self):
-        obj = sample_classical(2, seed=16).object
-        p = generator_image(obj)
-        q = p * p
-        assert (p * q).adjoint().distance(q.adjoint() * p.adjoint()) < 1e-14
+    def test_star_reverses_products(self):
+        p = generator_image(sample_classical(2, seed=16).object)
+        q = product(p, p)
+        assert distance(star(product(p, q)), product(star(q), star(p))) < 1e-14
 
 
 class TestApplyCoaction:
     def test_constant_polynomial(self):
         obj = sample_classical(2, seed=17).object
         img = apply_coaction(obj, {0: 1.0})
-        assert img.degrees() == [0]
-        assert np.allclose(img.coeff(0), np.eye(2))
+        assert sorted(img) == [0]
+        assert np.allclose(img[0], np.eye(2))
 
     def test_generator_on_rotation(self):
         lam = np.exp(0.7j)
         img = apply_coaction(rotation(lam), {1: 1.0})
-        assert img.degrees() == [1]
-        assert np.isclose(img.coeff(1)[0, 0], lam)
+        assert sorted(img) == [1]
+        assert np.isclose(img[1][0, 0], lam)
 
     def test_square_on_reflection(self):
         mu = np.exp(0.3j)
         img = apply_coaction(reflection(mu), {2: 1.0})
-        assert img.degrees() == [-2]
-        assert np.isclose(img.coeff(-2)[0, 0], mu * mu)
+        assert sorted(img) == [-2]
+        assert np.isclose(img[-2][0, 0], mu * mu)
 
     def test_multiplicativity_on_valid_objects(self):
         rng = np.random.default_rng(18)
@@ -196,27 +171,24 @@ class TestApplyCoaction:
                 for kq, cq in q.items():
                     pq[kp + kq] = pq.get(kp + kq, 0) + cp * cq
             lhs = apply_coaction(obj, pq)
-            rhs = apply_coaction(obj, p) * apply_coaction(obj, q)
-            assert lhs.distance(rhs) < 1e-10
+            rhs = product(apply_coaction(obj, p), apply_coaction(obj, q))
+            assert distance(lhs, rhs) < 1e-10
 
     def test_star_compatibility(self):
         obj = sample_classical(3, seed=19).object
         p = {2: 1.5 + 0.5j, -1: 0.25j}
         p_star = {-k: np.conj(c) for k, c in p.items()}
-        assert apply_coaction(obj, p_star).distance(apply_coaction(obj, p).adjoint()) < 1e-12
+        assert distance(apply_coaction(obj, p_star), star(apply_coaction(obj, p))) < 1e-12
 
     def test_unitarity_of_generator_image(self):
         # gen * gen-star maps to the constant identity exactly when valid
-        obj = sample_classical(2, seed=20).object
-        img = generator_image(obj)
-        prod = img * img.adjoint()
-        assert prod.distance(LaurentMatrixPoly.one(2)) < 1e-12
+        img = generator_image(sample_classical(2, seed=20).object)
+        assert distance(product(img, star(img)), power(img, 0, 2)) < 1e-12
 
     def test_invalid_object_breaks_unitarity(self):
         shift = LinearObject(2, np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)))
         img = generator_image(shift)
-        prod = img * img.adjoint()
-        assert prod.distance(LaurentMatrixPoly.one(2)) > 0.5
+        assert distance(product(img, star(img)), power(img, 0, 2)) > 0.5
 
 
 class TestConstraintTable:
@@ -336,8 +308,14 @@ class TestComposeImage:
         comp = compose_image(dual, generator_image(obj))
         expected_plus = np.kron(dual.A, obj.A) + np.kron(adjoint(dual.B), obj.B)
         expected_minus = np.kron(dual.B, obj.A) + np.kron(adjoint(dual.A), obj.B)
-        assert np.allclose(comp.coeff(1), expected_plus)
-        assert np.allclose(comp.coeff(-1), expected_minus)
+        assert np.allclose(comp.get(1, 0), expected_plus)
+        assert np.allclose(comp.get(-1, 0), expected_minus)
+
+
+def oracle_images(obj):
+    """The oracle's generator image and its adjoint, exact zeros dropped."""
+    gen = generator_image(obj)
+    return gen, star(gen)
 
 
 def unitary(rng, n):
@@ -374,13 +352,13 @@ def kron_route(pair, tol=1e-9):
     checks = []
     obj, dual = pair.object, pair.dual_object
     for label, outer, inner, v in (("s", dual, obj, pair.s), ("t", obj, dual, pair.t)):
-        gen = generator_image(inner)
+        gen, gen_star = oracle_images(inner)
         for gen_label, poly, fix_deg in (
             (f"gen,{label}", compose_image(outer, gen), +1),
-            (f"gen*,{label}", compose_image(outer, gen.adjoint()), -1),
+            (f"gen*,{label}", compose_image(outer, gen_star), -1),
         ):
-            for d in sorted(set(poly.degrees()) | {+1, -1}):
-                w = poly.coeff(d) @ v - (v if d == fix_deg else 0.0)
+            for d in sorted(set(poly) | {+1, -1}):
+                w = (poly[d] @ v if d in poly else 0.0) - (v if d == fix_deg else 0.0)
                 checks.append(CheckResult(f"raw[{gen_label},deg{d:+d}]", np.linalg.norm(w), tol))
     return CertificateReport(tol, tuple(checks))
 
@@ -392,13 +370,13 @@ class TestRawRouteAgainstKron:
         pair = raw_case(n, kind, seed=n)
         obj, dual = pair.object, pair.dual_object
         for outer, inner, v in ((dual, obj, pair.s), (obj, dual, pair.t)):
-            gen = generator_image(inner)
-            inners = (gen, gen.adjoint())
+            inners = oracle_images(inner)
             for poly, vecs in zip(inners, composite_on_vector(outer, inners, v)):
                 oracle = compose_image(outer, poly)
                 # The oracle drops exactly zero degrees; the route keeps them.
-                for d in set(vecs) | set(oracle.degrees()):
-                    K = oracle.coeff(d)
+                assert sorted(vecs) == [-1, 1]
+                for d in set(vecs) | set(oracle):
+                    K = oracle.get(d, np.zeros((v.size, v.size)))
                     err = np.linalg.norm(vecs.get(d, 0) - K @ v)
                     assert err <= 1e-12 * frobenius(K) * np.linalg.norm(v)
 
@@ -414,10 +392,10 @@ class TestRawRouteAgainstKron:
 
     def test_cancelling_degrees_are_exactly_zero(self):
         pair = raw_case(3, "cancelling")
-        gen = generator_image(pair.object)
-        on_gen, _ = composite_on_vector(pair.dual_object, (gen, gen.adjoint()), pair.s)
+        gen, gen_star = oracle_images(pair.object)
+        on_gen, _ = composite_on_vector(pair.dual_object, (gen, gen_star), pair.s)
         # Both degrees of the dual composite on the generator cancel.
-        assert compose_image(pair.dual_object, gen).degrees() == []
+        assert compose_image(pair.dual_object, gen) == {}
         assert sorted(on_gen) == [-1, 1]
         assert all(not np.any(w) for w in on_gen.values())
         report = check_conjugate_raw(pair)
@@ -445,14 +423,13 @@ class TestRawRouteAgainstKron:
 
 def apply_coaction_expansion(outer, inners, v):
     """``composite_on_vector`` with every degree's image from ``apply_coaction``."""
-    S = unvec(v, outer.n, inners[0].n)
-    degrees = set().union(*(inner.coeffs for inner in inners))
-    images = {k: apply_coaction(outer, {k: 1.0}) for k in degrees}
+    S = unvec(v, outer.n, len(v) // outer.n)
+    images = {k: apply_coaction(outer, {k: 1.0}) for k in set().union(*inners)}
     out = []
     for inner in inners:
         terms = {}
-        for k, M in inner.coeffs.items():
-            for d, G in images[k].coeffs.items():
+        for k, M in inner.items():
+            for d, G in images[k].items():
                 terms[d] = terms.get(d, 0) + G @ S @ M.T
         out.append({d: vec(T) for d, T in terms.items()})
     return out
@@ -463,8 +440,7 @@ def expansion_route(pair):
     checks = []
     obj, dual = pair.object, pair.dual_object
     for label, outer, inner, v in (("s", dual, obj, pair.s), ("t", obj, dual, pair.t)):
-        gen = generator_image(inner)
-        on_gen, on_adj = apply_coaction_expansion(outer, (gen, gen.adjoint()), v)
+        on_gen, on_adj = apply_coaction_expansion(outer, oracle_images(inner), v)
         for gen_label, vecs, fix_deg in ((f"gen,{label}", on_gen, +1), (f"gen*,{label}", on_adj, -1)):
             for d in sorted(set(vecs) | {+1, -1}):
                 residual = float(np.linalg.norm(vecs.get(d, 0.0) - (v if d == fix_deg else 0.0)))
@@ -477,15 +453,24 @@ def oracle_case(n, kind):
         return sample_classical(n, seed=n)
     if kind == "perturbed":
         return perturbed(sample_classical(n, seed=n), np.random.default_rng(n), eps=1e-4)
+    if kind in ("rotations", "reflections"):
+        # n characters on the diagonal with their canonical dual; at n = 1
+        # this is rotation(phase) or reflection(phase).  The exactly zero B
+        # or A is dropped by the oracle and kept by the route.
+        phases = np.diag(np.exp(2j * np.pi * np.random.default_rng(n).random(n)))
+        zero = np.zeros((n, n), dtype=complex)
+        AB = (phases, zero) if kind == "rotations" else (zero, phases)
+        return canonical_dual(LinearObject(n, *AB))
     return raw_case(n, kind, seed=n)
 
 
-ORACLE_KINDS = ["sampled", "perturbed", "cancelling", "rotation", "reflection", "nonstandard"]
+ORACLE_KINDS = ["sampled", "perturbed", "cancelling", "rotation", "reflection", "nonstandard",
+                "rotations", "reflections"]
 
 
 class TestRawRouteAgainstApplyCoaction:
-    """The generator image and its adjoint stand in for apply_coaction's
-    degree +1 and -1 images; every residual keeps its bits."""
+    """The generator image and its adjoint, zeros kept, stand in for
+    apply_coaction's degree +1 and -1 images; every residual keeps its bits."""
 
     @pytest.mark.parametrize("kind", ORACLE_KINDS)
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 16])
@@ -503,17 +488,16 @@ class TestRawRouteAgainstApplyCoaction:
         pair = oracle_case(n, kind)
         obj, dual = pair.object, pair.dual_object
         for outer, inner, v in ((dual, obj, pair.s), (obj, dual, pair.t)):
-            gen = generator_image(inner)
-            inners = (gen, gen.adjoint())
+            inners = oracle_images(inner)
             got = composite_on_vector(outer, inners, v)
             want = apply_coaction_expansion(outer, inners, v)
             for g, w in zip(got, want):
-                assert sorted(g) == sorted(w)
-                assert all(np.array_equal(g[d], w[d]) for d in g)
+                # A degree the oracle drops is exactly zero on the route.
+                assert sorted(g) == [-1, 1] and set(w) <= set(g)
+                assert all(np.array_equal(g[d], w.get(d, np.zeros_like(g[d]))) for d in g)
 
     @pytest.mark.parametrize("degree", [0, 2, -2])
     def test_other_inner_degrees_are_refused(self, degree):
         pair = oracle_case(3, "sampled")
-        inner = LaurentMatrixPoly(3, {degree: pair.C, -1: pair.D})
         with pytest.raises(KeyError):
-            composite_on_vector(pair.object, (inner,), pair.s)
+            composite_on_vector(pair.object, ({degree: pair.C, -1: pair.D},), pair.s)

@@ -15,7 +15,7 @@ from circleact.coaction import (
     check_homomorphism,
 )
 from circleact import solver
-from circleact.linalg import frobenius
+from circleact.linalg import _seeded_rng, frobenius
 from circleact.solver import (
     SOLVE_MAX_N,
     SolverConfig,
@@ -89,6 +89,24 @@ class TestGradient:
         pair = sample_classical(2, seed=0)
         with pytest.raises(ValueError, match=f"^seed: expected a non-negative integer, got {seed!r}$"):
             gradient_check((pair.object.A, pair.object.B, pair.C, pair.D), seed=seed)
+
+    def test_error_below_one_is_absolute(self, monkeypatch):
+        # At a solution every derivative is 0.  Shifting the analytic entry
+        # of the first pick to 0.5 must read back an error of
+        # |0 - 0.5| / max(1, 0.5) = 0.5: a larger floor would shrink it.
+        pair = sample_classical(2, seed=0)
+        size = 4 * 2 * 2 * 2  # float64 view of the (4, 2, 2) complex stack
+        j = _seeded_rng(0, 2, size).integers(0, size, size=32)[0]
+        exact = solver._gradient
+
+        def shifted(w):
+            G = exact(w).copy()
+            G.reshape(-1).view(np.float64)[j] += 0.25  # the real gradient is 2G
+            return G
+
+        monkeypatch.setattr(solver, "_gradient", shifted)
+        err = gradient_check((pair.object.A, pair.object.B, pair.C, pair.D), seed=0)
+        assert abs(err - 0.5) <= 1e-6
 
 
 class TestConstraintSubset:
@@ -204,6 +222,25 @@ class TestSolve:
             r2.to_json(), sort_keys=True
         )
 
+    def test_start_is_the_named_seed_draw_scaled_by_one_over_sqrt_2n(self, monkeypatch):
+        # Restart k starts from the (4, 2, n, n) normal draw of
+        # _seeded_rng(seed, k), real then imaginary parts, each scaled so an
+        # entry has mean square 1/n.
+        starts = []
+        minimize = solver._minimize
+
+        def capture(X0, *args):
+            starts.append(X0)
+            return minimize(X0, *args)
+
+        monkeypatch.setattr(solver, "_minimize", capture)
+        n, seed = 3, 5
+        solve(SolverConfig(n=n, restarts=2, max_iters=1, seed=seed))
+        assert len(starts) == 2
+        for k, X0 in enumerate(starts):
+            Z = _seeded_rng(seed, k).standard_normal((4, 2, n, n)) / np.sqrt(2 * n)
+            assert np.allclose(X0, Z[:, 0] + 1j * Z[:, 1], rtol=1e-14, atol=0)
+
     def test_seed_changes_outcomes(self):
         r1 = solve(SolverConfig(n=1, restarts=2, seed=0))
         r2 = solve(SolverConfig(n=1, restarts=2, seed=999))
@@ -289,6 +326,9 @@ class TestSampleClassical:
 
 
 class TestConfigValidation:
+    def test_seed_defaults_to_zero(self):
+        assert SolverConfig(n=2) == SolverConfig(n=2, seed=0)
+
     def test_bad_n(self):
         with pytest.raises(ValueError):
             SolverConfig(n=0)
