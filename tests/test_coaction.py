@@ -91,6 +91,23 @@ class TestTypes:
         with pytest.raises(DimensionMismatch):
             ConjugatePair(rotation(1.0), np.eye(1), np.zeros((1, 1)), s=np.ones(2))
 
+    @pytest.mark.parametrize(
+        "C, error, text",
+        [
+            (np.eye(3), DimensionMismatch, r"^expected two 2x2 matrices, got \(3, 3\)"),
+            (np.ones(4), DimensionMismatch, "^C: expected a 2-D array, got ndim=1$"),
+            (np.ones((2, 2, 1)), DimensionMismatch, "^C: expected a 2-D array, got ndim=3$"),
+            (np.array([[np.nan, 0.0], [0.0, 1.0]]), ValueError, "^C: non-finite"),
+            (np.array([[1.0, 0.0], [0.0, -np.inf]]), ValueError, "^C: non-finite"),
+            (np.full((3, 3), np.nan), ValueError, "^C: non-finite"),
+        ],
+    )
+    def test_pair_refuses_a_dual_coefficient(self, C, error, text):
+        # The raw route reads C and D as inner coefficients as they are, so
+        # the pair is where they are validated.
+        with pytest.raises(error, match=text):
+            ConjugatePair(LinearObject(2, np.eye(2), np.zeros((2, 2))), C, np.zeros((2, 2)))
+
     def test_pair_checks_each_pairing_vector_whole_before_the_next(self):
         # s too long and t non-finite: s is checked (converted, then its
         # length) before t is looked at.
@@ -265,6 +282,18 @@ class TestConjugateRaw:
     def test_classical_samples_pass(self):
         for seed in range(5):
             assert check_conjugate_raw(sample_classical(2, seed=seed)).overall_pass
+
+    def test_overflowing_coefficient_is_a_failed_check(self):
+        # A finite coefficient whose products overflow is kept, not dropped:
+        # its checks read inf and fail, and the degrees it misses read 0.
+        pair = ConjugatePair(
+            LinearObject(2, np.eye(2), np.zeros((2, 2))), np.full((2, 2), 1e308), np.zeros((2, 2))
+        )
+        with np.errstate(over="ignore"):
+            report = check_conjugate_raw(pair)
+        assert report.residual("raw[gen,s,deg+1]") == np.inf
+        assert report.residual("raw[gen,s,deg-1]") == 0.0
+        assert not report.overall_pass
 
     def test_wrong_dual_fails(self):
         pair = sample_classical(2, seed=21)
