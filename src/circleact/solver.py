@@ -9,11 +9,15 @@ penalty, an accepted one also a gradient, and no Jacobian is formed.
 The analytic gradient follows the product rule through each constraint
 term (plain, adjoint, transpose, or conjugate occurrence of a variable
 pulls the factor out in a different orientation) and is validated
-against finite differences by ``gradient_check``.  Per n, the
-evaluation is compiled on first use into index arrays that gather into
-preallocated buffers, so an iteration allocates no n^2-sized array.
-Its bits, and every trajectory's, equal those of the plain kernel and
-minimizer that the tests keep as oracles.
+against finite differences by ``gradient_check``.  Per n and thread,
+the evaluation is compiled on first use into a workspace: index arrays
+that gather into preallocated buffers, and two point slots.  A restart
+iterates inside them, the trial point written into one slot while the
+current point sits in the other, so an iteration neither allocates an
+n^2-sized array nor copies a point.  A dot product of more than 10,000
+entries is summed in fixed blocks, so no result depends on the BLAS
+thread count.  Its bits, and every trajectory's, equal those of the plain
+kernel and minimizer that the tests keep as oracles.
 
 The point of the experiment: every converged pair turns out to be
 commutative and splits into rotation and reflection characters.  The
@@ -46,8 +50,9 @@ from .certify import certify_commutativity
 _MEMORY = 4
 
 # Largest fiber dimension SolverConfig admits.  A restart's working set
-# grows as n^2 (~22 MB at n = 64) and an iteration as n^3 (~25 ms at
-# n = 64 on a 2-vCPU VM), so a larger n is a typo, not a search.
+# grows as n^2 (~25 MB at n = 64, 21.5 MB of it the kept workspace) and an
+# iteration as n^3 (~6 ms at n = 64 on a 2-vCPU VM), so a larger n is a
+# typo, not a search.
 SOLVE_MAX_N = 64
 
 ALGORITHM = f"L-BFGS (memory {_MEMORY}) with Armijo backtracking"
@@ -84,74 +89,126 @@ def _kernel_indices(cons):
     return padded(terms), padded(pieces), np.array(identity, dtype=np.intp)
 
 
-_local = threading.local()  # this thread's workspaces, least recently used first
+# OpenBLAS splits a dot product of more than this many entries across its
+# threads, in an order that depends on their count.
+_BLOCK = 10_000
+
+
+def _blocked(dot, size):
+    """dot(a, b) over vectors of size entries, independent of the BLAS thread
+    count: one plain call up to _BLOCK entries, else one call per block of
+    _BLOCK entries (the last one shorter), summed from the first block on."""
+    if size <= _BLOCK:
+        return dot
+    cuts = range(_BLOCK, size, _BLOCK)
+
+    def blocked(a, b):
+        total = dot(a[:_BLOCK], b[:_BLOCK])
+        for k in cuts:
+            total = total + dot(a[k:k + _BLOCK], b[k:k + _BLOCK])
+        return total
+
+    return blocked
+
+
+def _multiply(take, left, right, L_rows, R_rows, L, R, out):
+    take(left, 0, L_rows, "clip")  # under the default mode "raise", numpy buffers the output
+    take(right, 0, R_rows, "clip")
+    np.matmul(L, R, out=out)
 
 
 class _Workspace:
-    """The kernel at one n, compiled from the constraint table cons.  A
-    stack holds every matrix an index pair names: X, conj X, X^T, X^H, the
-    zero, then F, conj F, F^T, F^H.  Each sum of products gathers matrix
-    rows of it into left factors side by side and right factors stacked,
-    then matmuls them into F's place in the stack or into G."""
+    """The kernel at one n, compiled from the constraint table cons, with
+    two point slots that a restart iterates between.  A stack holds every
+    matrix an index pair names: per slot X, conj X, X^T and X^H, then the
+    zero, then F, conj F, F^T and F^H.  A slot's X is a (4, n, n) point
+    whose float64 view, in ``points``, is the vector L-BFGS iterates on.
+    Each sum of products gathers matrix rows of the stack into left factors
+    side by side and right factors stacked, then matmuls them into F's place
+    in the stack or into G.  Each slot has its own gather indices; F, G and
+    the factor buffers are shared, so a gradient is taken at the slot whose
+    penalty was evaluated last."""
 
     def __init__(self, n, cons):
         self.cons = cons
         terms, pieces, identity = _kernel_indices(cons)
         m, i = len(terms[0]), np.arange(n)
-        self.stack = np.zeros((17 + 4 * m, n, n), dtype=complex)
-        self.X = self.stack[:16].reshape(2, 2, 4, n, n)  # [transposed, conjugated]
-        self.Fs = self.stack[17:].reshape(2, 2, m, n, n)
-        self.F, self.G = self.Fs[0, 0], np.empty((4, n, n), dtype=complex)
-        self.flat, rows = self.stack.reshape(-1), self.stack.reshape((17 + 4 * m) * n, n)
-        self.diagonal = ((17 + identity[:, None]) * n * n + (n + 1) * i).ravel()  # F_c with -I
-        self.products = []
-        for (left, right), out in ((terms, self.F), (pieces, self.G)):
+        self.stack = np.zeros((33 + 4 * m, n, n), dtype=complex)
+        X = self.stack[:32].reshape(2, 2, 2, 4, n, n)  # [slot, transposed, conjugated]
+        Fs = self.stack[33:].reshape(2, 2, m, n, n)
+        self.X, self.F, self.G = X[:, 0, 0], Fs[0, 0], np.empty((4, n, n), dtype=complex)
+        self.points = [self.X[s].reshape(-1).view(np.float64) for s in (0, 1)]
+        self.g = self.G.reshape(-1).view(np.float64)
+        self.F_orient = (Fs[0, 0], Fs[0, 1], Fs[1], Fs[0].transpose(0, 1, 3, 2))
+        self.flat, rows = self.stack.reshape(-1), self.stack.reshape(-1, n)
+        self.diagonal = ((33 + identity[:, None]) * n * n + (n + 1) * i).ravel()  # F_c with -I
+        self.F_flat = self.F.reshape(-1)
+        self.vdot = _blocked(np.vdot, self.F_flat.size)
+        self.dot = _blocked(np.ndarray.dot, 8 * n * n)
+        buffers = []
+        for left, _ in (terms, pieces):
+            # L[k, i, j*n:(j+1)*n] is row i of S[left[k, j]]; R[k, j*n + i] that of S[right[k, j]].
             k, wn = len(left), left.shape[1] * n
             L, R = np.empty((k, n, wn), dtype=complex), np.empty((k, wn, n), dtype=complex)
-            # L[k, i, j*n:(j+1)*n] is row i of S[left[k, j]]; R[k, j*n + i] that of S[right[k, j]].
-            self.products.append((rows.take, (n * left[:, None, :] + i[:, None]).ravel(),
-                                  (n * right[:, :, None] + i).ravel(), L.reshape(k * wn, n),
-                                  R.reshape(k * wn, n), L, R, out))
+            buffers.append((L.reshape(k * wn, n), R.reshape(k * wn, n), L, R))
+        self.slots = []
+        for s in (0, 1):
+            # Stack row of each number _kernel_indices uses: slot s's 16
+            # occurrences, then the zero and F's orientations, which both share.
+            where = np.concatenate((16 * s + np.arange(16), 32 + np.arange(1 + 4 * m)))
+            products = [(rows.take, (n * where[left][:, None, :] + i[:, None]).ravel(),
+                         (n * where[right][:, :, None] + i).ravel(), *buf, out)
+                        for (left, right), buf, out in zip((terms, pieces), buffers, (self.F, self.G))]
+            self.slots.append((X[s, 0, 0], X[s, 0, 1], X[s, 1], X[s, 0].transpose(0, 1, 3, 2),
+                               *products))
 
-    @staticmethod
-    def multiply(take, left, right, L_rows, R_rows, L, R, out):
-        take(left, 0, L_rows, "clip")  # under the default mode "raise", numpy buffers the output
-        take(right, 0, R_rows, "clip")
-        np.matmul(L, R, out=out)
+    def penalty(self, s):
+        """Penalty at the point in slot s, leaving its constraints F in place."""
+        X, conj_X, XT, X_transposed, terms, _ = self.slots[s]
+        np.conjugate(X, out=conj_X)
+        np.copyto(XT, X_transposed)
+        _multiply(*terms)
+        self.flat[self.diagonal] -= 1
+        return float(self.vdot(self.F_flat, self.F_flat).real)
+
+    def gradient(self, s):
+        """Float64 view of the gradient stack G at the point in slot s, formed
+        from the constraints F that the penalty there left; the next call
+        overwrites it."""
+        F, conj_F, FT, F_transposed = self.F_orient
+        np.conjugate(F, out=conj_F)
+        np.copyto(FT, F_transposed)
+        _multiply(*self.slots[s][5])
+        return self.g
 
 
-def _penalty(mats):
-    """Penalty at a point, and this thread's workspace at its n filled up to
-    the constraints F there.  The workspace is rebuilt when _CONSTRAINTS is
-    replaced; four n are kept (~20 MB at n = 64)."""
-    X = np.asarray(mats, dtype=complex)
-    n, spaces = X.shape[1], _local.__dict__.setdefault("spaces", {})
+_local = threading.local()  # this thread's workspaces, least recently used first
+
+
+def _workspace(n):
+    """This thread's workspace at n, rebuilt when _CONSTRAINTS is replaced.
+    Four n are kept (21.5 MB at n = 64)."""
+    spaces = _local.__dict__.setdefault("spaces", {})
     w = spaces.pop(n, None)
     if w is None or w.cons is not _CONSTRAINTS:
         w = _Workspace(n, _CONSTRAINTS)
     spaces[n] = w
     if len(spaces) > 4:
         del spaces[next(iter(spaces))]
-    np.copyto(w.X[0, 0], X)
-    np.conjugate(X, out=w.X[0, 1])
-    np.copyto(w.X[1], w.X[0].transpose(0, 1, 3, 2))
-    w.multiply(*w.products[0])
-    w.flat[w.diagonal] -= 1
-    return float(np.vdot(w.F, w.F).real), w
+    return w
 
 
-def _gradient(w):
-    """Gradient stack (4, n, n) from a workspace's constraints F, in a buffer
-    that the next call at the same n in this thread overwrites."""
-    np.conjugate(w.F, out=w.Fs[0, 1])
-    np.copyto(w.Fs[1], w.Fs[0].transpose(0, 1, 3, 2))
-    w.multiply(*w.products[1])
-    return w.G
+def _load(mats):
+    """This thread's workspace at the point's n, with the point in slot 0."""
+    X = np.asarray(mats, dtype=complex)
+    w = _workspace(X.shape[1])
+    np.copyto(w.X[0], X)
+    return w
 
 
 def residual(A, B, C, D) -> float:
     """Penalty at a point: sum of squared Frobenius norms, 20 terms."""
-    return _penalty((A, B, C, D))[0]
+    return _load((A, B, C, D)).penalty(0)
 
 
 def gradient(A, B, C, D):
@@ -161,7 +218,9 @@ def gradient(A, B, C, D):
     along a real coordinate is 2*Re(G) for real parts and 2*Im(G) for
     imaginary parts.
     """
-    return tuple(_gradient(_penalty((A, B, C, D))[1]).copy())
+    w = _load((A, B, C, D))
+    w.penalty(0)
+    return tuple(w.gradient(0).view(complex).reshape(w.G.shape).copy())
 
 
 @dataclass(frozen=True)
@@ -239,55 +298,60 @@ class SolverRun:
 
 
 def _minimize(X0, max_iters, stop_f, grad_tol, step_init):
-    """L-BFGS with Armijo backtracking from a copy of the (4, n, n) stack X0.
+    """L-BFGS with Armijo backtracking from the (4, n, n) stack X0.
 
-    Iterates on the complex stack viewed as a flat float64 vector, where a
-    plain dot product is Re vdot and the real gradient is 2G.  A gradient is
-    formed only at accepted points.  Returns the stack where it stopped, its
-    penalty, the accepted steps and the stop reason.
+    Iterates in this thread's workspace at n on the flat float64 views of
+    its two point slots, where a plain dot product is Re vdot and the real
+    gradient is 2G.  The current point sits in one slot; each trial point
+    is written into the other, and an accepted step swaps their roles.  A
+    gradient is formed only at accepted points.  Returns a copy of the stack
+    where it stopped, its penalty, the accepted steps and the stop reason.
     """
-    X = np.array(X0, dtype=complex, order="C")
-    x = X.reshape(-1).view(np.float64)
-    xn, g, gn, q, t = np.empty((5, x.size))
-    f, w = _penalty(X)
-    np.multiply(2.0, _gradient(w).reshape(-1).view(np.float64), out=g)
+    w = _workspace(np.shape(X0)[1])
+    penalty, gradient, dot, multiply = w.penalty, w.gradient, w.dot, np.multiply
+    cur, trial = 0, 1
+    x, xn = w.points
+    np.copyto(w.X[cur], X0)
+    g, gn, q, t = np.empty((4, x.size))
+    f = penalty(cur)
+    multiply(2.0, gradient(cur), out=g)
     S, Y = (list(rows) for rows in np.zeros((2, _MEMORY + 1, x.size)))
     rho, a = [0.0] * (_MEMORY + 1), [0.0] * (_MEMORY + 1)
-    slots, spare = [], 0  # rows holding (s, y) pairs, oldest first, and the row for the next
+    pairs, spare = [], 0  # rows holding (s, y) pairs, oldest first, and the row for the next
     gamma = step_init  # the initial inverse Hessian is gamma * I
     for iters in range(max_iters + 1):
-        reason = ("converged" if f <= stop_f else "grad_tol" if math.sqrt(g.dot(g)) <= grad_tol
+        reason = ("converged" if f <= stop_f else "grad_tol" if math.sqrt(dot(g, g)) <= grad_tol
                   else "max_iters" if iters == max_iters else None)
         if reason:
             break
         np.copyto(q, g)  # two-loop recursion: q becomes H g
-        for i in reversed(slots):
-            a[i] = rho[i] * float(S[i].dot(q))
-            q -= np.multiply(a[i], Y[i], out=t)
+        for i in reversed(pairs):
+            a[i] = rho[i] * float(dot(S[i], q))
+            q -= multiply(a[i], Y[i], out=t)
         q *= gamma
-        for i in slots:
-            q += np.multiply(a[i] - rho[i] * float(Y[i].dot(q)), S[i], out=t)
-        slope = float(g.dot(q))
+        for i in pairs:
+            q += multiply(a[i] - rho[i] * float(dot(Y[i], q)), S[i], out=t)
+        slope = float(dot(g, q))
         alpha = 1.0
         while alpha >= 1e-18:
-            np.subtract(x, np.multiply(alpha, q, out=xn), out=xn)
-            fn, w = _penalty(xn.view(complex).reshape(X.shape))
+            np.subtract(x, multiply(alpha, q, out=xn), out=xn)
+            fn = penalty(trial)
             if fn <= f - 1e-4 * alpha * slope:
                 break
             alpha /= 2.0
         else:
             reason = "line_search"
             break
-        np.multiply(2.0, _gradient(w).reshape(-1).view(np.float64), out=gn)
+        multiply(2.0, gradient(trial), out=gn)
         s, y = np.subtract(xn, x, out=S[spare]), np.subtract(gn, g, out=Y[spare])
-        sy = float(s.dot(y))
+        sy = float(dot(s, y))
         if sy > 0:  # curvature condition; otherwise the pair is skipped
             rho[spare] = 1.0 / sy
-            slots.append(spare)
-            spare = slots.pop(0) if len(slots) > _MEMORY else len(slots)
-            gamma = sy / y.dot(y)  # numpy division: y.y can underflow to 0
-        x, xn, f, g, gn = xn, x, fn, gn, g
-    return x.view(complex).reshape(X.shape), f, iters, reason
+            pairs.append(spare)
+            spare = pairs.pop(0) if len(pairs) > _MEMORY else len(pairs)
+            gamma = sy / dot(y, y)  # numpy division: y.y can underflow to 0
+        x, xn, f, g, gn, cur, trial = xn, x, fn, gn, g, trial, cur
+    return w.X[cur].copy(), f, iters, reason
 
 
 def solve(config: SolverConfig) -> SolverRun:
@@ -358,14 +422,18 @@ def gradient_check(point, seed: int = 0) -> float:
     X = np.array(point, dtype=complex, order="C")
     x = X.reshape(-1).view(np.float64)
     rng = _seeded_rng(seed, X.shape[1], x.size)
-    g = 2.0 * _gradient(_penalty(X)[1]).reshape(-1).view(np.float64)
+    w = _load(X)
+    w.penalty(0)
+    g = 2.0 * w.gradient(0)
     picks = rng.integers(0, x.size, size=32)
     worst = 0.0
     for j in picks:
         e = np.zeros_like(x)
         e[j] = 1.0
-        fd = (_penalty((x + step * e).view(complex).reshape(X.shape))[0]
-              - _penalty((x - step * e).view(complex).reshape(X.shape))[0]) / (2.0 * step)
+        np.add(x, step * e, out=w.points[0])
+        up = w.penalty(0)
+        np.subtract(x, step * e, out=w.points[0])
+        fd = (up - w.penalty(0)) / (2.0 * step)
         err = abs(fd - g[j]) / max(1.0, abs(g[j]))
         worst = max(worst, float(err))
     return worst

@@ -4,19 +4,29 @@ of the kernel's workspaces.
 The kernel's oracle is the plain kernel: the occurrence stack built with
 ``concatenate``, factors gathered by fancy indexing and laid side by side
 with a transpose and reshape.  The compiled kernel in ``circleact.solver``
-gathers into preallocated buffers; its operands have the same values,
-shapes and contiguity, so every bit of F, G and the penalty must agree.
+gathers from a workspace's point slot into preallocated buffers; its
+operands have the same values, shapes and contiguity, so every bit of F,
+G and the penalty must agree.
 
 The minimizer's oracle is the L-BFGS loop that evaluates penalty and
-gradient together at every trial point and keeps numpy scalars in the
-two-loop.  ``circleact.solver._minimize`` forms the gradient only at
-accepted points and keeps the two-loop's scalars in Python floats; it
-performs the same floating-point operations in the same order, so every
-outcome must agree bit for bit.
+gradient together at every trial point, on fresh arrays, and keeps numpy
+scalars in the two-loop.  ``circleact.solver._minimize`` iterates inside
+its workspace's two point slots, forms the gradient only at accepted
+points and keeps the two-loop's scalars in Python floats; it performs the
+same floating-point operations in the same order, so every outcome must
+agree bit for bit.
+
+Both oracles take a dot product of more than ``BLOCK`` entries as the sum,
+in order, of its values on consecutive pieces of at most ``BLOCK``
+entries, so that no BLAS call splits one across threads.  The tests swap
+or count the kernel at its seam, the workspace's ``penalty`` and
+``gradient`` methods.
 """
 
 import json
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -35,6 +45,23 @@ from circleact.solver import (
 )
 
 NS = [1, 2, 3, 4, 5, 8, 16, 33]
+
+BLOCK = 10_000  # the longest dot product one BLAS call may take
+
+
+def in_pieces(dot, a, b):
+    """dot(a, b) over pieces of at most BLOCK entries, added in order; a
+    vector of at most BLOCK entries is one piece, so it takes one call."""
+    values = [dot(a[k:k + BLOCK], b[k:k + BLOCK]) for k in range(0, len(a), BLOCK)]
+    total = values[0]
+    for value in values[1:]:
+        total = total + value
+    return total
+
+
+def rdot(a, b):
+    """The dot product of two float64 vectors, under the piece rule."""
+    return in_pieces(np.matmul, a, b)
 
 
 def _oriented(M):
@@ -64,12 +91,14 @@ def oracle(mats):
     F = _sum_of_products(O, terms)
     F[identity] -= np.eye(n)
     G = _sum_of_products(np.concatenate((O, _oriented(F))), pieces)
-    return float(np.vdot(F, F).real), G, F
+    return float(in_pieces(np.vdot, F.ravel(), F.ravel()).real), G, F
 
 
 def penalty_and_gradient(X):
-    f, w = solver._penalty(X)
-    return f, solver._gradient(w)
+    """Penalty and the float64 view of the gradient stack at X, evaluated
+    through the seam in a workspace's slot 0."""
+    w = solver._load(X)
+    return w.penalty(0), w.gradient(0)
 
 
 def oracle_minimize(X0, max_iters, stop_f, grad_tol, step_init):
@@ -79,24 +108,24 @@ def oracle_minimize(X0, max_iters, stop_f, grad_tol, step_init):
     x = X.reshape(-1).view(np.float64)
     xn, g, gn, q, t = np.empty((5, x.size))
     f, G = penalty_and_gradient(X)
-    np.multiply(2.0, G.reshape(-1).view(np.float64), out=g)
+    np.multiply(2.0, G, out=g)
     S, Y = np.zeros((2, _MEMORY + 1, x.size))
     rho, a = np.zeros((2, _MEMORY + 1))
     slots, spare = [], 0  # rows holding (s, y) pairs, oldest first, and the row for the next
     gamma = step_init  # the initial inverse Hessian is gamma * I
     for iters in range(max_iters + 1):
-        reason = ("converged" if f <= stop_f else "grad_tol" if math.sqrt(g @ g) <= grad_tol
+        reason = ("converged" if f <= stop_f else "grad_tol" if math.sqrt(rdot(g, g)) <= grad_tol
                   else "max_iters" if iters == max_iters else None)
         if reason:
             break
         np.copyto(q, g)  # two-loop recursion: q becomes H g
         for i in reversed(slots):
-            a[i] = rho[i] * (S[i] @ q)
+            a[i] = rho[i] * rdot(S[i], q)
             q -= np.multiply(a[i], Y[i], out=t)
         q *= gamma
         for i in slots:
-            q += np.multiply(a[i] - rho[i] * (Y[i] @ q), S[i], out=t)
-        slope = g @ q
+            q += np.multiply(a[i] - rho[i] * rdot(Y[i], q), S[i], out=t)
+        slope = rdot(g, q)
         alpha = 1.0
         while alpha >= 1e-18:
             np.subtract(x, np.multiply(alpha, q, out=xn), out=xn)
@@ -107,14 +136,14 @@ def oracle_minimize(X0, max_iters, stop_f, grad_tol, step_init):
         else:
             reason = "line_search"
             break
-        np.multiply(2.0, Gn.reshape(-1).view(np.float64), out=gn)
+        np.multiply(2.0, Gn, out=gn)
         s, y = np.subtract(xn, x, out=S[spare]), np.subtract(gn, g, out=Y[spare])
-        sy = s @ y
+        sy = rdot(s, y)
         if sy > 0:  # curvature condition; otherwise the pair is skipped
             rho[spare] = 1.0 / sy
             slots.append(spare)
             spare = slots.pop(0) if len(slots) > _MEMORY else len(slots)
-            gamma = sy / (y @ y)
+            gamma = sy / rdot(y, y)
         x, xn, f, g, gn = xn, x, fn, gn, g
     return x.view(complex).reshape(X.shape), f, iters, reason
 
@@ -132,10 +161,10 @@ def start(draw):
 
 def assert_kernel_matches_oracle(X):
     f, G, F = oracle(X)
-    f_new, w = solver._penalty(X)
+    w = solver._load(X)
+    assert w.penalty(0) == f
     assert np.array_equal(w.F, F)
-    assert f_new == f
-    assert np.array_equal(solver._gradient(w), G)
+    assert np.array_equal(w.gradient(0).view(complex).reshape(G.shape), G)
     assert residual(*X) == f
     assert all(np.array_equal(a, b) for a, b in zip(gradient(*X), G))
 
@@ -146,18 +175,18 @@ def run_bytes(config):
 
 def counted_kernel(mp):
     """Count penalty and gradient evaluations, in the order they happen."""
-    penalty, grad, events = solver._penalty, solver._gradient, []
+    penalty, grad, events = solver._Workspace.penalty, solver._Workspace.gradient, []
 
-    def counted_penalty(mats):
+    def counted_penalty(w, s):
         events.append("p")
-        return penalty(mats)
+        return penalty(w, s)
 
-    def counted_gradient(w):
+    def counted_gradient(w, s):
         events.append("g")
-        return grad(w)
+        return grad(w, s)
 
-    mp.setattr(solver, "_penalty", counted_penalty)
-    mp.setattr(solver, "_gradient", counted_gradient)
+    mp.setattr(solver._Workspace, "penalty", counted_penalty)
+    mp.setattr(solver._Workspace, "gradient", counted_gradient)
     return events
 
 
@@ -185,16 +214,16 @@ class TestOracle:
         compiled = [run_bytes(c) for c in configs]
         calls = []
 
-        def penalty(mats):  # the oracle's workspace is the point itself
+        def penalty(w, s):  # the oracle evaluates the slot's point afresh
             calls.append("p")
-            return oracle(mats)[0], mats
+            return oracle(w.X[s])[0]
 
-        def grad(mats):
+        def grad(w, s):
             calls.append("g")
-            return oracle(mats)[1]
+            return oracle(w.X[s])[1].reshape(-1).view(np.float64)
 
-        monkeypatch.setattr(solver, "_penalty", penalty)
-        monkeypatch.setattr(solver, "_gradient", grad)
+        monkeypatch.setattr(solver._Workspace, "penalty", penalty)
+        monkeypatch.setattr(solver._Workspace, "gradient", grad)
         assert [run_bytes(c) for c in configs] == compiled
         assert set(calls) == {"p", "g"}
 
@@ -247,7 +276,9 @@ class TestMinimizerOracle:
             rejected += trials - iters - 1
         assert rejected > 0
 
-    @pytest.mark.parametrize("n, restarts", [(8, 3), (16, 2), (32, 1)])
+    # From n = 23 the penalty's dot product, from n = 36 the minimizer's
+    # real ones, take more than one BLAS call.
+    @pytest.mark.parametrize("n, restarts", [(8, 3), (16, 2), (32, 1), (40, 1)])
     def test_larger_n(self, monkeypatch, n, restarts):
         self.assert_same_bytes(monkeypatch, [SolverConfig(n=n, restarts=restarts)])
 
@@ -312,6 +343,19 @@ class TestWorkspaces:
         solve(SolverConfig(n=3, restarts=1, seed=0))
         assert all(np.array_equal(g, k) for g, k in zip(G1, kept))
 
+    def test_outcomes_do_not_alias_the_workspace(self):
+        # The minimizer iterates inside the workspace's point slots; the
+        # pair it hands back must be a copy, not a view of a slot.
+        def pair_bytes(pair):
+            return [M.tobytes() for M in (pair.object.A, pair.object.B, pair.C, pair.D)]
+
+        (first,) = solve(SolverConfig(n=3, restarts=1, seed=0)).outcomes
+        kept = pair_bytes(first.pair)
+        solve(SolverConfig(n=3, restarts=1, seed=1))
+        residual(*point(3, 5))
+        gradient(*point(3, 6))
+        assert pair_bytes(first.pair) == kept
+
     def test_two_threads(self):
         # Both threads solve at n = 2 and at n = 3, so the same n is in
         # flight in both at once.
@@ -336,6 +380,29 @@ class TestWorkspaces:
         assert results == sequential
 
 
+class TestThreadCount:
+    SCRIPT = """
+import hashlib, numpy as np
+from circleact import solver
+for n in (24, 40):
+    for seed in range(4):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, n)))
+        X = rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n))
+        print(n, seed, repr(solver.residual(*X)))
+    X, f, iters, reason = solver._minimize(X / np.sqrt(2.0 * n), 3, 0.0, 0.0, 1.0)
+    print(n, repr(f), iters, reason, hashlib.sha256(X.tobytes()).hexdigest())
+"""
+
+    def test_one_and_two_blas_threads_give_the_same_bits(self):
+        # Penalties past n = 22 and minimizer steps past n = 35 hold dot
+        # products that one BLAS call would split across its threads.
+        outputs = [subprocess.run([sys.executable, "-c", self.SCRIPT], capture_output=True,
+                                  text=True, timeout=300, check=True,
+                                  env={**os.environ, "OPENBLAS_NUM_THREADS": threads}).stdout
+                   for threads in ("1", "2")]
+        assert outputs[0] == outputs[1] and outputs[0].count("\n") == 10
+
+
 class TestAllocation:
     LIMIT = 128 * 1024  # bytes; the plain kernel takes more than 1 MB per call at n = 32
 
@@ -356,16 +423,16 @@ class TestAllocation:
         # From one penalty evaluation to the next, _minimize at n = 64
         # allocates nothing above the limit: its vectors are updated in place.
         n = 64
-        evaluate = solver._penalty
+        evaluate = solver._Workspace.penalty
         marks = []
 
-        def traced(mats):
+        def traced(w, s):
             marks.append(tracemalloc.get_traced_memory())
             tracemalloc.reset_peak()
-            return evaluate(mats)
+            return evaluate(w, s)
 
         penalty_and_gradient(point(n, 0))
-        monkeypatch.setattr(solver, "_penalty", traced)
+        monkeypatch.setattr(solver._Workspace, "penalty", traced)
         X0 = start(np.random.default_rng(0).standard_normal((4, 2, n, n)) / np.sqrt(2.0 * n))
         tracemalloc.start()
         try:

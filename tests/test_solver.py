@@ -97,14 +97,14 @@ class TestGradient:
         pair = sample_classical(2, seed=0)
         size = 4 * 2 * 2 * 2  # float64 view of the (4, 2, 2) complex stack
         j = _seeded_rng(0, 2, size).integers(0, size, size=32)[0]
-        exact = solver._gradient
+        exact = solver._Workspace.gradient
 
-        def shifted(w):
-            G = exact(w).copy()
-            G.reshape(-1).view(np.float64)[j] += 0.25  # the real gradient is 2G
-            return G
+        def shifted(w, s):
+            g = exact(w, s).copy()
+            g[j] += 0.25  # the real gradient is 2G
+            return g
 
-        monkeypatch.setattr(solver, "_gradient", shifted)
+        monkeypatch.setattr(solver._Workspace, "gradient", shifted)
         err = gradient_check((pair.object.A, pair.object.B, pair.C, pair.D), seed=0)
         assert abs(err - 0.5) <= 1e-6
 
@@ -151,36 +151,37 @@ class TestMinimize:
         # Before any curvature pair is stored the L-BFGS direction is the
         # plain gradient, scaled by step_init, so the first trial point is
         # x - step_init * g with the real gradient g = 2G.
-        penalty = solver._penalty
+        penalty = solver._Workspace.penalty
         points = []
 
-        def recorded_penalty(mats):
-            points.append(np.array(mats))
-            return penalty(mats)
+        def recorded_penalty(w, s):
+            points.append(w.X[s].copy())
+            return penalty(w, s)
 
-        monkeypatch.setattr(solver, "_penalty", recorded_penalty)
+        monkeypatch.setattr(solver._Workspace, "penalty", recorded_penalty)
         draw = 1e-2 * np.random.default_rng(0).standard_normal((4, 2, 2, 2))
         _minimize(draw[:, 0] + 1j * draw[:, 1], 1, 1e-20, 1e-12, 0.25)
-        G0 = solver._gradient(penalty(points[0])[1])
+        G0 = np.array(solver.gradient(*points[0]))
         np.testing.assert_allclose(points[1], points[0] - 0.25 * 2.0 * G0, rtol=1e-15, atol=0)
 
     def test_stop_reason_line_search(self, monkeypatch):
         # A penalty that rises at every trial point halves the step below
         # 1e-18 without accepting it, and no gradient is formed at a
         # rejected trial.
-        penalty, grad = solver._penalty, solver._gradient
+        penalty, grad = solver._Workspace.penalty, solver._Workspace.gradient
         calls = []
 
-        def rising(mats):
+        def rising(w, s):
             calls.append("p")
-            return float(calls.count("p")), penalty(mats)[1]
+            penalty(w, s)
+            return float(calls.count("p"))
 
-        def counted_gradient(w):
+        def counted_gradient(w, s):
             calls.append("g")
-            return grad(w)
+            return grad(w, s)
 
-        monkeypatch.setattr(solver, "_penalty", rising)
-        monkeypatch.setattr(solver, "_gradient", counted_gradient)
+        monkeypatch.setattr(solver._Workspace, "penalty", rising)
+        monkeypatch.setattr(solver._Workspace, "gradient", counted_gradient)
         draw = np.random.default_rng(1).standard_normal((4, 2, 1, 1))
         _, f, iters, reason = _minimize(draw[:, 0] + 1j * draw[:, 1], 100, 1e-20, 1e-12, 1.0)
         assert (f, iters, reason) == (1.0, 0, "line_search")
