@@ -67,23 +67,13 @@ def conjugate_object(X: LinearObject) -> LinearObject:
     return LinearObject(X.n, X.A.conj(), X.B.T)
 
 
-@dataclass(frozen=True)
-class MorphismBasis:
-    """Orthonormal basis (Frobenius inner product) of morphisms X -> Y."""
-
-    basis: tuple
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
-def morphism_space(X: LinearObject, Y: LinearObject, tol: float = 1e-9) -> MorphismBasis:
+def morphism_space(X: LinearObject, Y: LinearObject, tol: float = 1e-9) -> np.ndarray:
     """Solve the intertwiner equations T A_X = A_Y T, T B_X = B_Y T.
 
-    Both equations are imposed on the generator only; a basis of the
-    joint nullspace of the two linearized equations is returned, each
-    vector reshaped to an n_Y x n_X matrix.  tol is finite and positive.
+    Both equations are imposed on the generator only.  Returns a
+    (k, n_Y, n_X) array: the nullspace basis of the two linearized
+    equations, reshaped once, an orthonormal basis of the morphisms
+    X -> Y in the Frobenius inner product.  tol is finite and positive.
     """
     _require_positive(tol, "tol")  # before the two m^2 x m^2 blocks
     nx, ny = X.n, Y.n
@@ -91,15 +81,12 @@ def morphism_space(X: LinearObject, Y: LinearObject, tol: float = 1e-9) -> Morph
     Ix = np.eye(nx, dtype=complex)
     KA = kron(Iy, X.A.T) - kron(Y.A, Ix)
     KB = kron(Iy, X.B.T) - kron(Y.B, Ix)
-    M = np.vstack([KA, KB])
-    vectors = nullspace_basis(M, tol)
-    basis = tuple(unvec(v, ny, nx) for v in vectors)
-    return MorphismBasis(basis)
+    return nullspace_basis(np.vstack([KA, KB]), tol).reshape(-1, ny, nx)
 
 
 def is_irreducible(X: LinearObject, tol: float = 1e-9) -> bool:
     """Whether the self morphism space is spanned by the identity."""
-    return morphism_space(X, X, tol).dim == 1
+    return len(morphism_space(X, X, tol)) == 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,7 +167,7 @@ def decompose(X: LinearObject, tol: float = 1e-9, seed: int = 0) -> Decompositio
 def _decompose_commutant(X: LinearObject, tol: float, seed: int) -> Decomposition:
     """Split X along its self morphism space End(X).
 
-    End(X) is computed once and its basis stack split by ``_seeded_split``:
+    End(X) is computed once and its basis array split by ``_seeded_split``:
     for a projection P in End(X) the commutant of the compressed candidate
     is P End(X) P, so no node recomputes a morphism space.  An empty End(X)
     means tol is below the noise floor (the identity always intertwines)
@@ -191,17 +178,17 @@ def _decompose_commutant(X: LinearObject, tol: float, seed: int) -> Decompositio
     """
     _require_int(seed, "seed")  # before End(X), the O(m^6) step
     mor = morphism_space(X, X, tol)
-    if mor.dim == 0:
+    if len(mor) == 0:
         raise DecompositionFailure(
             f"the self morphism space is empty at tol={tol:g}; the identity always "
             "intertwines, so the tolerance is below the numerical noise floor"
         )
-    W, widths = _seeded_split(np.stack(mor.basis), tol, seed)
+    W, widths = _seeded_split(mor, tol, seed)
     WH = adjoint(W)
     decomp = _certified_decomposition(X, W, widths, WH @ X.A @ W, WH @ X.B @ W, tol, seed)
     for leaf, _ in decomp.summands:
         # An unsplit block is X itself, whose self morphism space is mor.
-        if leaf.n > 1 and (mor if len(widths) == 1 else morphism_space(leaf, leaf, tol)).dim != 1:
+        if leaf.n > 1 and len(mor if len(widths) == 1 else morphism_space(leaf, leaf, tol)) != 1:
             raise DecompositionFailure("no splitting word found for a reducible candidate")
     return decomp
 

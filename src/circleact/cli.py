@@ -39,7 +39,7 @@ import numpy as np
 
 from . import __version__
 from .linalg import DimensionMismatch, NoConvergence, SchemaError, vector_from_json
-from .linalg import _require_int, _require_positive, _shown
+from .linalg import _fields, _require_int, _require_positive, _shown
 from .coaction import (
     CertificateReport,
     CheckResult,
@@ -310,9 +310,8 @@ def _cmd_snake(args) -> tuple[dict, bool]:
         n, doc = args.n, {}
     else:
         doc = _unwrap(_read_payload(args.input))
-        if not isinstance(doc, dict) or "n" not in doc:
-            raise SchemaError("input: expected an object with an 'n' field")
-        n = _require_int(doc["n"], "input.n", 1, MAX_N, error=SchemaError)
+        (n,) = _fields(doc, ("n",), "input")
+        n = _require_int(n, "input.n", 1, MAX_N, error=SchemaError)
     s, t = (
         vector_from_json(doc[key], path=f"input.{key}") if key in doc else kac_vector(n)
         for key in ("s", "t")

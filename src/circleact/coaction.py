@@ -36,6 +36,7 @@ import numpy as np
 from .linalg import (
     DimensionMismatch,
     SchemaError,
+    _fields,
     _matrix_to_json,
     _require_int,
     _require_positive,
@@ -90,13 +91,9 @@ class LinearObject:
 
     @classmethod
     def from_json(cls, obj, *, path: str = "object") -> "LinearObject":
-        if not isinstance(obj, dict):
-            raise SchemaError(f"{path}: expected an object")
-        for key in ("n", "A", "B"):
-            if key not in obj:
-                raise SchemaError(f"{path}.{key}: missing")
-        n = _require_int(obj["n"], f"{path}.n", least=1, error=SchemaError)
-        A, B = (matrix_from_json(obj[key], path=f"{path}.{key}") for key in ("A", "B"))
+        n, *mats = _fields(obj, ("n", "A", "B"), path)
+        n = _require_int(n, f"{path}.n", least=1, error=SchemaError)
+        A, B = (matrix_from_json(M, path=f"{path}.{key}") for key, M in zip("AB", mats))
         try:
             return cls(n, A, B)
         except DimensionMismatch as exc:
@@ -152,10 +149,8 @@ class ConjugatePair:
     @classmethod
     def from_json(cls, obj, *, path: str = "pair") -> "ConjugatePair":
         base = LinearObject.from_json(obj, path=path)
-        for key in ("C", "D"):
-            if key not in obj:
-                raise SchemaError(f"{path}.{key}: missing")
-        C, D = (matrix_from_json(obj[key], path=f"{path}.{key}") for key in ("C", "D"))
+        mats = _fields(obj, ("C", "D"), path)
+        C, D = (matrix_from_json(M, path=f"{path}.{key}") for key, M in zip("CD", mats))
         s, t = (
             vector_from_json(obj[key], path=f"{path}.{key}") if key in obj else None
             for key in ("s", "t")

@@ -5,13 +5,12 @@ a few hundred rows.  Matrices are plain numpy arrays of dtype complex128;
 helpers here add the validation, the eigensolver, the nullspace
 extraction, and the JSON codecs that the rest of the package relies on.
 
-The heavy lifting is LAPACK's: ``eigh`` for Hermitian eigenproblems and
-pivoted Householder QR for nullspaces.  The wrappers add what LAPACK
-does not check (shapes, finiteness, Hermitian input) and turn its
-failures into this module's exceptions.  scipy, for the pivoted QR, is
-imported on the first nullspace call, so importing the package does not
-load it.  Nothing downstream trusts a factorization blindly: every
-certificate is a residual recomputed with plain matrix products.
+The heavy lifting is LAPACK's, through numpy: ``eigh`` for Hermitian
+eigenproblems, and QR followed by an SVD for nullspaces.  The wrappers
+add what LAPACK does not check (shapes, finiteness, Hermitian input) and
+turn its failures into this module's exceptions.  Nothing downstream
+trusts a factorization blindly: every certificate is a residual
+recomputed with plain matrix products.
 """
 
 from __future__ import annotations
@@ -167,28 +166,24 @@ def hermitian_eig(H):
     return w, W
 
 
-def nullspace_basis(M, tol: float = 1e-9) -> list[np.ndarray]:
-    """Orthonormal basis of the numerical nullspace of M.
+def nullspace_basis(M, tol: float = 1e-9) -> np.ndarray:
+    """Orthonormal basis of the numerical nullspace of M, one vector per row.
 
-    Uses Householder QR with column pivoting on the adjoint; the rank is
-    the number of diagonal entries of R exceeding tol * frobenius(M).
-    Returns a list of 1-D vectors (possibly empty).  tol must be finite
-    and positive.
+    M is reduced to its triangular QR factor, which has M's singular values
+    and right singular vectors without the orthogonal factor of a tall M
+    being formed, and the SVD of that factor is taken.  The rows returned
+    are the right singular vectors whose singular values are at most
+    tol * frobenius(M): a (k, cols) array, k possibly 0.  tol must be
+    finite and positive.  A LAPACK convergence failure raises NoConvergence.
     """
     _require_positive(tol, "tol")
-    import scipy.linalg
-
     M = as_matrix(M, path="nullspace input")
-    rows, cols = M.shape
-    Q, R, _ = scipy.linalg.qr(adjoint(M), pivoting=True)
-    thresh = tol * frobenius(M)
-    rank = 0
-    for i in range(min(rows, cols)):
-        if abs(R[i, i]) > thresh:
-            rank += 1
-        else:
-            break
-    return [np.ascontiguousarray(Q[:, j]) for j in range(rank, cols)]
+    try:
+        _, s, Vh = np.linalg.svd(np.linalg.qr(M, mode="r"))
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"svd did not converge: {exc}") from exc
+    # The rows of Vh are the adjoints of the right singular vectors.
+    return Vh[np.count_nonzero(s > tol * frobenius(M)):].conj()
 
 
 def split_by_gaps(values: np.ndarray, gap: float) -> list[np.ndarray]:
@@ -238,21 +233,27 @@ def _array_from_json(obj, counts: tuple, path: str) -> np.ndarray:
     Each count passes the count rule, and data is a list of as many
     entries as their product.
     """
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{path}: expected an object, got {type(obj).__name__}")
-    for key in (*counts, "data"):
-        if key not in obj:
-            raise SchemaError(f"{path}.{key}: missing")
-    shape = tuple(obj[key] for key in counts)
+    *shape, data = _fields(obj, (*counts, "data"), path)
     for key, count in zip(counts, shape):
         _require_int(count, f"{path}.{key}", error=SchemaError)
         if count > np.iinfo(np.intp).max // 16:  # numpy's bound on a complex128 axis
             raise SchemaError(f"{path}.{key}: {count} is too large for an array")
     size = math.prod(shape)
-    data = obj["data"]
     if not isinstance(data, list) or len(data) != size:
         raise SchemaError(f"{path}.data: expected a list of {size} entries")
     return _parse_entries(data, path=f"{path}.data").reshape(shape)
+
+
+def _fields(obj, keys: tuple, path: str) -> tuple:
+    """The values of a JSON object at keys, in order.  Anything but a dict
+    raises SchemaError "<path>: expected an object, got <type>", and the
+    first key it lacks "<path>.<key>: missing"."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{path}: expected an object, got {type(obj).__name__}")
+    for key in keys:
+        if key not in obj:
+            raise SchemaError(f"{path}.{key}: missing")
+    return tuple(obj[key] for key in keys)
 
 
 def _parse_entries(data: list, *, path: str) -> np.ndarray:

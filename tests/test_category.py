@@ -15,7 +15,15 @@ from circleact.category import (
     morphism_space,
     tensor_product,
 )
-from circleact.certify import _joint_diagonal, canonical_dual, classical_form, split_hermitian
+from circleact.certify import (
+    AmbiguousSlot,
+    NotSimultaneouslyDiagonalizable,
+    _joint_diagonal,
+    canonical_dual,
+    certify_commutativity,
+    classical_form,
+    split_hermitian,
+)
 from circleact import coaction
 from circleact.coaction import (
     ConjugatePair,
@@ -160,31 +168,31 @@ class TestConjugate:
             X = sample_classical(2, seed=seed).object
             prod = tensor_product(X, conjugate_object(X))
             mor = morphism_space(rotation(1.0), prod)
-            assert mor.dim >= 1
+            assert len(mor) >= 1
 
 
 class TestMorphismSpace:
     def test_self_space_of_rotation(self):
-        assert morphism_space(rotation(np.exp(0.3j)), rotation(np.exp(0.3j))).dim == 1
+        assert len(morphism_space(rotation(np.exp(0.3j)), rotation(np.exp(0.3j)))) == 1
 
     def test_distinct_rotations_disjoint(self):
-        assert morphism_space(rotation(np.exp(0.3j)), rotation(np.exp(0.4j))).dim == 0
+        assert len(morphism_space(rotation(np.exp(0.3j)), rotation(np.exp(0.4j)))) == 0
 
     def test_rotation_vs_reflection_disjoint(self):
-        assert morphism_space(rotation(1.0), reflection(1.0)).dim == 0
+        assert len(morphism_space(rotation(1.0), reflection(1.0))) == 0
 
     def test_additivity_over_direct_sum(self):
         lam = np.exp(0.6j)
         X = rotation(lam)
         Y = direct_sum(direct_sum(X, X), reflection(0.2j / abs(0.2j)))
-        assert morphism_space(X, Y).dim == 2
-        assert morphism_space(Y, Y).dim == 5  # 2x2 block plus 1 scalar
+        assert len(morphism_space(X, Y)) == 2
+        assert len(morphism_space(Y, Y)) == 5  # 2x2 block plus 1 scalar
 
     def test_basis_is_orthonormal_and_intertwines(self):
         X = sample_classical(3, seed=10).object
         mor = morphism_space(X, X)
-        for i, T in enumerate(mor.basis):
-            for j, S in enumerate(mor.basis):
+        for i, T in enumerate(mor):
+            for j, S in enumerate(mor):
                 ip = np.trace(adjoint(T) @ S)
                 assert abs(ip - (1.0 if i == j else 0.0)) < 1e-10
             assert frobenius(T @ X.A - X.A @ T) < 1e-9
@@ -315,6 +323,37 @@ class TestDecomposeRoutes:
         X = sample_classical(3, seed=1).object
         with pytest.raises(DecompositionFailure, match="self morphism space is empty"):
             _decompose_commutant(X, 1e-30, 0)
+
+    @pytest.mark.parametrize("error", [NotSimultaneouslyDiagonalizable, AmbiguousSlot])
+    def test_joint_diagonal_refusal_falls_back_to_commutant_route(self, monkeypatch, error):
+        # Commutativity passes, so only the core's refusal sends X to End(X).
+        X = sample_classical(3, seed=1).object
+        assert certify_commutativity(X).overall_pass
+        calls = []
+
+        def refuse(*_args):
+            raise error("refused")
+
+        def spy(*args):
+            calls.append(args)
+            return _decompose_commutant(*args)
+
+        monkeypatch.setattr("circleact.category._joint_diagonal", refuse)
+        monkeypatch.setattr("circleact.category._decompose_commutant", spy)
+        decomp = decompose(X, seed=2)
+        assert len(calls) == 1
+        assert [leaf.n for leaf, _ in decomp.summands] == [1, 1, 1]
+
+    @pytest.mark.parametrize("widths", [[4], [1, 3]])
+    def test_commutant_route_refuses_an_unsplit_reducible_leaf(self, monkeypatch, widths):
+        # Four distinct rotations: End(X) is the diagonal algebra, so every
+        # leaf wider than 1 is reducible.  A split that stops short is
+        # refused, whether it leaves X whole or a smaller leaf.
+        X = LinearObject(4, np.diag(np.exp(1j * np.arange(4.0))), np.zeros((4, 4)))
+        monkeypatch.setattr("circleact.category._seeded_split",
+                            lambda *_args: (np.eye(4, dtype=complex), widths))
+        with pytest.raises(DecompositionFailure, match="^no splitting word found"):
+            _decompose_commutant(X, 1e-9, 0)
 
     @pytest.mark.parametrize("seed", [-1, True, 1.0], ids=["negative", "bool", "float"])
     @pytest.mark.parametrize("route", [decompose, _decompose_commutant])
@@ -657,6 +696,23 @@ class TestSplitHermitian:
                 assert frobenius(C - np.trace(C) / d * np.eye(d)) <= 1e-12
                 # V's range is invariant: F V = V (V* F V)
                 assert frobenius(F @ V - V @ C) <= 1e-12
+
+    def test_gives_up_after_six_words(self):
+        # On the family {F, -F}, a generator drawing equal weights makes every
+        # word F - F = 0, which never splits: after six words the whole space
+        # comes back as one block, for the caller's checks to judge.
+        class EqualWeights:
+            draws = 0
+
+            def standard_normal(self, size):
+                self.draws += 1
+                return np.ones(size)
+
+        F = np.diag([0.0, 1.0]).astype(complex)
+        rng = EqualWeights()
+        blocks = split_hermitian(np.stack([F, -F]), 1e-9, rng)
+        assert rng.draws == 6
+        assert len(blocks) == 1 and np.array_equal(blocks[0], np.eye(2))
 
 
 class TestCheckSnake:

@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import textwrap
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -15,9 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circleact import certify, cli, coaction
+from circleact.category import direct_sum
 from circleact.certify import ConstraintViolation, certify_duality
 from circleact.cli import MAX_N, main
-from circleact.coaction import ConjugatePair, LinearObject, check_homomorphism
+from circleact.coaction import (
+    CertificateReport,
+    CheckResult,
+    ConjugatePair,
+    LinearObject,
+    check_homomorphism,
+)
 from circleact.linalg import NoConvergence
 from circleact.solver import SOLVE_MAX_N, SolverConfig, sample_classical
 
@@ -25,6 +33,13 @@ GOLDEN = Path(__file__).parent / "golden"
 
 IDENTITY2 = LinearObject(2, np.eye(2), np.zeros((2, 2)))
 SHIFT2 = LinearObject(2, np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)))
+
+
+def irreducible_block():
+    """A 2 x 2 irreducible block (A = UP, B = U(I - P)) beside three characters."""
+    c, s = np.cos(0.7), np.sin(0.7)
+    U, P = np.array([[c, -s], [s, c]]), np.diag([1.0, 0.0])
+    return direct_sum(LinearObject(2, U @ P, U @ (np.eye(2) - P)), sample_classical(3, seed=7).object)
 
 
 def run_cli(capsys, argv):
@@ -122,6 +137,24 @@ class TestExitCodes:
         )
         assert code == 2
         assert "cannot read input" in err
+
+    def test_unwritable_output_exits_two(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "out.json"
+        code, out, err = run_cli(capsys, ["snake", "--n", "2", "--output", str(target)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+        assert not target.exists()
+
+    def test_nullspace_svd_failure_exits_one(self, capsys, monkeypatch, tmp_path):
+        # The commutant route's End(X) is the only nullspace decompose takes.
+        def refuse(*_args, **_kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        path = write_json(tmp_path / "block.json", irreducible_block().to_json())
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        code, out, err = run_cli(capsys, ["decompose", "--input", path])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: svd did not converge: ") and err.count("\n") == 1
 
     def test_invalid_json_exits_two_with_location(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
@@ -337,6 +370,24 @@ class TestSubcommands:
         assert payload["report"]["overall_pass"] is False
         assert "classical" not in payload
 
+    def test_certify_stops_at_a_failed_stage_two_check(self, capsys, monkeypatch, tmp_path):
+        # Stage one (hom, dual, raw) passes; a failing commutativity report
+        # ends the run with exit 1 before any classical form is computed.
+        def failing(obj, tol):
+            return CertificateReport(tol, (CheckResult("AB-BA", 1.0, tol),))
+
+        def refuse(*_args):
+            raise AssertionError("classical form computed after a failed check")
+
+        monkeypatch.setattr("circleact.cli.certify_commutativity", failing)
+        monkeypatch.setattr("circleact.cli._classical_form", refuse)
+        path = write_json(tmp_path / "pair.json", sample_classical(2, seed=0).to_json())
+        code, out, err = run_cli(capsys, ["certify", "--input", path])
+        assert (code, err) == (1, "")
+        payload = json.loads(out)
+        assert "classical" not in payload and payload["report"]["overall_pass"] is False
+        assert [c["name"] for c in payload["report"]["checks"] if not c["pass"]] == ["comm:AB-BA"]
+
     def test_solve_exit_zero_and_deterministic(self, capsys, tmp_path):
         argv = [
             "solve", "--n", "1", "--restarts", "3", "--seed", "11", "--reproducible",
@@ -388,6 +439,22 @@ class TestSubcommands:
         code, _, err = run_cli(capsys, ["fuse", path])
         assert code == 2
         assert "two input paths" in err
+
+    @pytest.mark.parametrize("text", ["[1]", "{}", "[1, 2, 3]"])
+    def test_fuse_refuses_stdin_that_is_not_an_array_of_two(self, capsys, monkeypatch, text):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        error = "error: stdin: expected a JSON array of two objects\n"
+        assert run_cli(capsys, ["fuse"]) == (2, "", error)
+
+    def test_fuse_reports_a_failed_decomposition_in_its_payload(self, capsys, tmp_path):
+        # The shift fails the homomorphism equations, and so does its product
+        # with the identity: decompose refuses it, a measured failure.
+        paths = [write_json(tmp_path / f"{i}.json", X.to_json()) for i, X in enumerate((SHIFT2, IDENTITY2))]
+        code, out, err = run_cli(capsys, ["fuse", *paths, "--reproducible"])
+        assert (code, err) == (1, "")
+        payload = json.loads(out)
+        assert payload["error"].startswith("object fails the homomorphism equations")
+        assert "decomposition" not in payload and payload["product"]["n"] == 4
 
     def test_snake_scaled_vector_exits_one(self, capsys, monkeypatch):
         payload = {"n": 1, "s": {"dim": 1, "data": [[2.0, 0.0]]}}
@@ -533,10 +600,32 @@ def fresh_run(argv):
 
 class TestProcessState:
     def test_import_leaves_scipy_unloaded(self):
-        code = "import sys, circleact.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        # Neither the import nor the nullspaces load scipy: the commutant
+        # route on the 2 x 2 block and End(X) at m = 16 run on numpy alone.
+        code = textwrap.dedent("""
+            import sys
+            import circleact.cli
+            import numpy as np
+            from circleact.category import decompose, direct_sum, morphism_space, tensor_product
+            from circleact.coaction import LinearObject
+            from circleact.solver import sample_classical
+
+            def scipy_modules():
+                return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+            print(scipy_modules())
+            c, s = np.cos(0.7), np.sin(0.7)
+            U, P = np.array([[c, -s], [s, c]]), np.diag([1.0, 0.0])
+            block = LinearObject(2, U @ P, U @ (np.eye(2) - P))
+            X = direct_sum(block, sample_classical(3, seed=7).object)
+            print(sorted(leaf.n for leaf, _ in decompose(X).summands))
+            Z = tensor_product(*(sample_classical(4, seed=s).object for s in (1, 2)))
+            print(morphism_space(Z, Z).shape)
+            print(scipy_modules())
+        """)
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "[]\n"
+        assert proc.stdout == "[]\n[1, 1, 1, 2]\n(16, 16, 16)\n[]\n"
 
     def test_reused_parser_matches_fresh_runs(self, capsys):
         calls = [
@@ -813,21 +902,21 @@ READER_MESSAGES = [
     ("certify", ("s", "data"), LONG["data"], "input.s.data: expected a list of 1 entries"),
     ("certify", ("s", "data", 0), None, "input.s.data[0]: expected a [re, im] pair of numbers"),
     ("certify", ("t", "data", 0, 0), NON_FINITE, "input.t.data[0]: non-finite entries are not admitted"),
-    ("check", (), [], "input: expected an object"),
+    ("check", (), [], "input: expected an object, got list"),
     ("check", ("B",), REMOVE, "input.B: missing"),
     ("check", ("n",), True, "input.n: expected a positive integer, got True"),
     ("check", ("n",), -1, "input.n: expected a positive integer, got -1"),
     ("check", ("A",), WIDE, "input: expected two 1x1 matrices, got (1, 2) and (1, 1)"),
     ("check", ("n",), 2, "input: expected two 2x2 matrices, got (1, 1) and (1, 1)"),
-    ("certify", (), "x", "input: expected an object"),
+    ("certify", (), "x", "input: expected an object, got str"),
     ("certify", ("D",), REMOVE, "input.D: missing"),
     ("certify", ("n",), False, "input.n: expected a positive integer, got False"),
     ("certify", ("A",), WIDE, "input: expected two 1x1 matrices, got (1, 2) and (1, 1)"),
     ("certify", ("D",), WIDE, "input: expected two 1x1 matrices, got (1, 1) and (1, 2)"),
     ("certify", ("s",), LONG, "input: s: expected length 1, got 2"),
     ("certify", ("t",), LONG, "input: t: expected length 1, got 2"),
-    ("snake", (), [], "input: expected an object with an 'n' field"),
-    ("snake", ("n",), REMOVE, "input: expected an object with an 'n' field"),
+    ("snake", (), [], "input: expected an object, got list"),
+    ("snake", ("n",), REMOVE, "input.n: missing"),
     ("snake", ("n",), True, f"input.n: expected an integer from 1 to {MAX_N}, got True"),
     ("snake", ("s", "dim"), -1, "input.s.dim: expected a non-negative integer, got -1"),
     ("snake", ("t", "data", 0), None, "input.t.data[0]: expected a [re, im] pair of numbers"),

@@ -241,6 +241,11 @@ class TestHomomorphism:
         report = check_homomorphism(rotation(0.5))
         assert not report.overall_pass
 
+    def test_residual_of_an_unknown_check_raises_key_error(self):
+        report = check_homomorphism(rotation(1.0))
+        with pytest.raises(KeyError, match="^'AB-BA'$"):
+            report.residual("AB-BA")
+
 
 class TestConjugateMatrix:
     def test_trivial_pair_passes(self):

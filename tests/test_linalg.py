@@ -153,7 +153,7 @@ class TestHermitianEig:
 
 class TestNullspace:
     def test_identity_has_trivial_nullspace(self):
-        assert nullspace_basis(np.eye(3)) == []
+        assert len(nullspace_basis(np.eye(3))) == 0
 
     def test_zero_matrix_full_nullspace(self):
         basis = nullspace_basis(np.zeros((2, 2)))
@@ -186,9 +186,17 @@ class TestNullspace:
     def test_rectangular(self):
         M = np.array([[1.0, 0.0, 0.0]])
         basis = nullspace_basis(M)
-        assert len(basis) == 2
+        assert basis.shape == (2, 3)  # one vector per row
         for v in basis:
             assert abs(v[0]) < 1e-12
+
+    def test_svd_failure_raises_no_convergence(self, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        with pytest.raises(NoConvergence, match="^svd did not converge: SVD did not converge$"):
+            nullspace_basis(np.eye(2))
 
 
 class TestSplitByGaps:
