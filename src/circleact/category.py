@@ -23,13 +23,7 @@ from .linalg import adjoint, frobenius, kron, nullspace_basis, unvec
 from .linalg import _matrix_to_json, _require_int, _require_positive
 from .coaction import CertificateReport, CheckResult, LinearObject, check_homomorphism
 from .coaction import _as_pairing, _object_json
-from .certify import (
-    AmbiguousSlot,
-    NotSimultaneouslyDiagonalizable,
-    _joint_diagonal,
-    _seeded_split,
-    certify_commutativity,
-)
+from .certify import _seeded_split, certify_commutativity
 
 
 class DecompositionFailure(RuntimeError):
@@ -93,8 +87,8 @@ def is_irreducible(X: LinearObject, tol: float = 1e-9) -> bool:
 class Decomposition:
     """A split held as the arrays that certified it: the stacked isometry
     W = [V_1 ... V_k] that ``_seeded_split`` formed, its block widths, the
-    block diagonal leaves LA, LB of the route's W* A W and W* B W, and the
-    seed, all measured by ``_certified_decomposition``.  Summand i is
+    block diagonal leaves LA, LB of W* A W and W* B W, and the seed, all
+    formed and measured by ``_certified_decomposition``.  Summand i is
     (LA_ii, LB_ii) with isometry V_i.  The seed is a non-negative int."""
 
     W: np.ndarray
@@ -133,20 +127,19 @@ def decompose(X: LinearObject, tol: float = 1e-9, seed: int = 0) -> Decompositio
        them has a *-closed End(X), since every intertwiner commutes
        with the unitary U = A + B and the projection P = A*A.
     2. The classical route, taken when ``certify_commutativity`` passes:
-       ``classical_form``'s core forms W* A W and W* B W for the common
-       eigenbasis W, and hands both on with W cut into its n columns,
-       each an isometry onto a one dimensional summand.
+       ``_seeded_split`` splits the stack [A, B] into a common eigenbasis
+       W, and the certifier measures W cut into its n columns, each an
+       isometry onto a one dimensional summand.
     3. The commutant route, taken when the commutativity residuals fail
-       or the core raises NotSimultaneouslyDiagonalizable or
-       AmbiguousSlot: ``_decompose_commutant`` splits End(X) and forms
-       the two products itself.
+       or the certifier refuses the classical split:
+       ``_decompose_commutant`` splits End(X) instead.
 
-    W is formed by ``_seeded_split``, multiplied once by the route, and
-    measured by ``_certified_decomposition``, whose certified arrays are
-    the Decomposition.  Any failure raises DecompositionFailure; nothing is
-    certified by construction.  A seed that is not a non-negative int
-    raises ValueError before any splitting word or End(X) is computed, and
-    so does a tol that is not finite and positive.
+    Each route hands its W to ``_certified_decomposition``, the one place
+    that forms W* A W and W* B W and judges a split; its certified arrays
+    are the Decomposition.  Any failure raises DecompositionFailure;
+    nothing is certified by construction.  A seed that is not a
+    non-negative int raises ValueError before any splitting word or End(X)
+    is computed, and so does a tol that is not finite and positive.
 
     Deterministic for fixed (X, tol, seed); summands come out ordered by
     the eigenvalue clusters of the random words.
@@ -156,12 +149,12 @@ def decompose(X: LinearObject, tol: float = 1e-9, seed: int = 0) -> Decompositio
     )
     if not certify_commutativity(X, tol).overall_pass:
         return _decompose_commutant(X, tol, seed)
+    W, _ = _seeded_split(np.stack([X.A, X.B]), tol, seed)
     try:
-        W, Ad, Bd = _joint_diagonal(X, tol, seed)
-    except (NotSimultaneouslyDiagonalizable, AmbiguousSlot):
+        # Widths [1] * n, not the splitter's: a scalar family comes back as one block.
+        return _certified_decomposition(X, W, [1] * X.n, tol, seed)
+    except DecompositionFailure:
         return _decompose_commutant(X, tol, seed)
-    # Widths [1] * n, not the splitter's: a scalar family comes back as one block.
-    return _certified_decomposition(X, W, [1] * X.n, Ad, Bd, tol, seed)
 
 
 def _decompose_commutant(X: LinearObject, tol: float, seed: int) -> Decomposition:
@@ -169,12 +162,13 @@ def _decompose_commutant(X: LinearObject, tol: float, seed: int) -> Decompositio
 
     End(X) is computed once and its basis array split by ``_seeded_split``:
     for a projection P in End(X) the commutant of the compressed candidate
-    is P End(X) P, so no node recomputes a morphism space.  An empty End(X)
-    means tol is below the noise floor (the identity always intertwines)
-    and raises DecompositionFailure.  Each certified leaf of dimension > 1
-    must have a one dimensional self morphism space; an unsplit leaf is X,
-    whose End(X) is not computed again.  This route needs no
-    commutativity; it is the independent oracle for the classical route.
+    is P End(X) P (Murota, Kanno, Kojima & Kojima, JJIAM 27, 2010), so no
+    node or leaf recomputes a morphism space.  An empty End(X) means tol is
+    below the noise floor (the identity always intertwines) and raises
+    DecompositionFailure.  Once the split is certified, a leaf V whose
+    stack V* End(X) V has a traceless part above tol*sqrt(n) is reducible
+    and raises DecompositionFailure.  This route needs no commutativity;
+    it is the independent oracle for the classical route.
     """
     _require_int(seed, "seed")  # before End(X), the O(m^6) step
     mor = morphism_space(X, X, tol)
@@ -184,35 +178,38 @@ def _decompose_commutant(X: LinearObject, tol: float, seed: int) -> Decompositio
             "intertwines, so the tolerance is below the numerical noise floor"
         )
     W, widths = _seeded_split(mor, tol, seed)
-    WH = adjoint(W)
-    decomp = _certified_decomposition(X, W, widths, WH @ X.A @ W, WH @ X.B @ W, tol, seed)
-    for leaf, _ in decomp.summands:
-        # An unsplit block is X itself, whose self morphism space is mor.
-        if leaf.n > 1 and len(mor if len(widths) == 1 else morphism_space(leaf, leaf, tol)) != 1:
+    decomp = _certified_decomposition(X, W, widths, tol, seed)
+    for _, _, V in decomp._blocks():
+        # V* End(X) V spans the leaf's own End; a leaf of width 1 has no traceless part.
+        d = V.shape[1]
+        C = adjoint(V) @ mor @ V
+        traceless = C - C.trace(axis1=1, axis2=2)[:, None, None] / d * np.eye(d)
+        if not frobenius(traceless) <= tol * np.sqrt(X.n):
             raise DecompositionFailure("no splitting word found for a reducible candidate")
     return decomp
 
 
 def _certified_decomposition(
-    X: LinearObject, W: np.ndarray, widths: list, WAW, WBW, tol: float, seed: int
+    X: LinearObject, W: np.ndarray, widths: list, tol: float, seed: int
 ) -> Decomposition:
     """Certify the summands of X cut from W by widths at tol*sqrt(n).
 
-    W comes from ``_seeded_split`` and WAW, WBW are W* A W and W* B W as the
-    caller formed them; the leaves L_A, L_B are their diagonal blocks.  W is
-    measured here: W*W - I on the diagonal blocks, X.A W - W L_A and
-    X.B W - W L_B (each read per summand's columns; the first failing
-    summand and check is reported), then W W* - I.  The certified arrays
-    are the returned Decomposition."""
+    W comes from ``_seeded_split``; W* A W and W* B W are formed here, and
+    the leaves L_A, L_B are their diagonal blocks.  W is measured here:
+    W*W - I on the diagonal blocks, X.A W - W L_A and X.B W - W L_B (each
+    read per summand's columns; the first failing summand and check is
+    reported), then W W* - I.  The certified arrays are the returned
+    Decomposition."""
     n = X.n
     check_tol = tol * np.sqrt(n)
     starts = np.cumsum([0, *widths[:-1]])
     block = np.repeat(np.arange(len(widths)), widths)
     mask = block[:, None] == block
+    WH = adjoint(W)
     # np.where, not a product with mask: that would turn -0.0 into +0.0.
-    LA, LB = (np.where(mask, P, 0) for P in (WAW, WBW))
+    LA, LB = (np.where(mask, WH @ M @ W, 0) for M in (X.A, X.B))
     residuals = (
-        (adjoint(W) @ W - np.eye(W.shape[1])) * mask,
+        (WH @ W - np.eye(W.shape[1])) * mask,
         X.A @ W - W @ LA,
         X.B @ W - W @ LB,
     )

@@ -225,25 +225,8 @@ def classical_form(
 
 
 def _classical_form(obj: LinearObject, tol: float, seed: int) -> ClassicalDecomposition:
-    W, Ad, Bd = _joint_diagonal(obj, tol, seed)
-    # Measured here, not in the core: decompose's certifier measures W W* - I itself.
-    drift, bound = frobenius(W @ adjoint(W) - np.eye(obj.n)), tol * np.sqrt(obj.n)
-    if not drift <= bound:
-        raise NotSimultaneouslyDiagonalizable(
-            f"eigenbasis is not unitary: |WW*-I| = {drift:.3e} exceeds {bound:.3e}"
-        )
-    characters = tuple(
-        Character("rotation", a) if abs(a) >= abs(b) else Character("reflection", b)
-        for a, b in zip(np.diag(Ad).tolist(), np.diag(Bd).tolist())
-    )
-    return ClassicalDecomposition(W, characters)
-
-
-def _joint_diagonal(obj: LinearObject, tol: float, seed: int):
-    """The common eigenbasis W, W* A W and W* B W: diagonal, one character per slot."""
     A, B, n = obj.A, obj.B, obj.n
     W, _ = _seeded_split(np.stack([A, B]), tol, seed)
-
     Ad = adjoint(W) @ A @ W
     Bd = adjoint(W) @ B @ W
     off = np.sqrt(
@@ -259,7 +242,16 @@ def _joint_diagonal(obj: LinearObject, tol: float, seed: int):
         raise AmbiguousSlot(
             f"slot {i} carries weight on both coefficients: |a|={a[i]:.3e}, |b|={b[i]:.3e}"
         )
-    return W, Ad, Bd
+    drift, bound = frobenius(W @ adjoint(W) - np.eye(n)), tol * np.sqrt(n)
+    if not drift <= bound:
+        raise NotSimultaneouslyDiagonalizable(
+            f"eigenbasis is not unitary: |WW*-I| = {drift:.3e} exceeds {bound:.3e}"
+        )
+    characters = tuple(
+        Character("rotation", a) if abs(a) >= abs(b) else Character("reflection", b)
+        for a, b in zip(np.diag(Ad).tolist(), np.diag(Bd).tolist())
+    )
+    return ClassicalDecomposition(W, characters)
 
 
 def _require_valid_pair(pair: ConjugatePair, tol: float) -> None:
@@ -276,8 +268,8 @@ def _seeded_split(mats: np.ndarray, tol: float, seed: int) -> tuple[np.ndarray, 
     of each member T in turn, drawing words from ``_seeded_rng(seed, m)``.
     Returns the stacked isometry W = [V_1 ... V_k], formed here and nowhere
     else, and the widths of its blocks.  ``classical_form`` and both
-    decomposition routes split through here; W*AW and W*BW are formed by
-    the caller, and W is measured by the caller's checks."""
+    decomposition routes split through here; W is measured, and W*AW and
+    W*BW are formed, by ``_classical_form`` or by ``decompose``'s certifier."""
     m = mats.shape[-1]
     mats_h = mats.conj().transpose(0, 2, 1)
     family = np.stack([mats + mats_h, 1j * (mats - mats_h)], axis=1).reshape(-1, m, m)

@@ -16,9 +16,7 @@ from circleact.category import (
     tensor_product,
 )
 from circleact.certify import (
-    AmbiguousSlot,
-    NotSimultaneouslyDiagonalizable,
-    _joint_diagonal,
+    _seeded_split,
     canonical_dual,
     certify_commutativity,
     classical_form,
@@ -263,8 +261,8 @@ class TestDecompose:
             assert all(leaf.n == 1 for leaf, _ in decomp.summands)
 
     def test_agrees_with_classical_form_multiset(self):
-        # decompose itself runs classical_form, so the End(X) route is
-        # the independent side of this comparison.
+        # decompose's classical route splits [A, B] as classical_form does,
+        # so the End(X) route is the independent side of this comparison.
         X = sample_classical(4, seed=14).object
         decomp = _decompose_commutant(X, 1e-9, 14)
         cf = classical_form(X, seed=14)
@@ -324,32 +322,46 @@ class TestDecomposeRoutes:
         with pytest.raises(DecompositionFailure, match="self morphism space is empty"):
             _decompose_commutant(X, 1e-30, 0)
 
-    @pytest.mark.parametrize("error", [NotSimultaneouslyDiagonalizable, AmbiguousSlot])
-    def test_joint_diagonal_refusal_falls_back_to_commutant_route(self, monkeypatch, error):
-        # Commutativity passes, so only the core's refusal sends X to End(X).
+    def test_classical_split_refusal_falls_back_to_commutant_route(self, monkeypatch):
+        # Commutativity passes, so only the certifier's refusal of the split
+        # sends X to End(X): the classical split returns a unitary that
+        # diagonalizes neither A nor B, and the End(X) split is the real one.
         X = sample_classical(3, seed=1).object
         assert certify_commutativity(X).overall_pass
-        calls = []
+        Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)) + 0j)
+        with pytest.raises(DecompositionFailure):
+            _certified_decomposition(X, Q, [1, 1, 1], 1e-9, 2)
+        splits, calls = [], []
 
-        def refuse(*_args):
-            raise error("refused")
+        def split(mats, *args):
+            splits.append(len(mats))
+            return (Q, [3]) if len(splits) == 1 else _seeded_split(mats, *args)
 
-        def spy(*args):
+        def counted(*args):
             calls.append(args)
-            return _decompose_commutant(*args)
+            return morphism_space(*args)
 
-        monkeypatch.setattr("circleact.category._joint_diagonal", refuse)
-        monkeypatch.setattr("circleact.category._decompose_commutant", spy)
+        monkeypatch.setattr("circleact.category._seeded_split", split)
+        monkeypatch.setattr("circleact.category.morphism_space", counted)
         decomp = decompose(X, seed=2)
-        assert len(calls) == 1
+        assert splits[0] == 2 and len(calls) == 1
         assert [leaf.n for leaf, _ in decomp.summands] == [1, 1, 1]
 
+    @pytest.mark.parametrize("identity_first", [False, True], ids=["svd_basis", "identity_first"])
     @pytest.mark.parametrize("widths", [[4], [1, 3]])
-    def test_commutant_route_refuses_an_unsplit_reducible_leaf(self, monkeypatch, widths):
+    def test_commutant_route_refuses_an_unsplit_reducible_leaf(self, monkeypatch, widths,
+                                                                identity_first):
         # Four distinct rotations: End(X) is the diagonal algebra, so every
         # leaf wider than 1 is reducible.  A split that stops short is
-        # refused, whether it leaves X whole or a smaller leaf.
+        # refused, whether it leaves X whole or a smaller leaf, and whichever
+        # orthonormal basis End(X) comes in: with I/2 first, only the later
+        # members are not scalar on the leaf.
         X = LinearObject(4, np.diag(np.exp(1j * np.arange(4.0))), np.zeros((4, 4)))
+        if identity_first:
+            signs = [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
+            basis = np.array([np.diag(r) / 2 for r in signs], dtype=complex)
+            assert np.allclose(np.einsum("kij,lij->kl", basis.conj(), basis), np.eye(4))
+            monkeypatch.setattr("circleact.category.morphism_space", lambda *_args: basis)
         monkeypatch.setattr("circleact.category._seeded_split",
                             lambda *_args: (np.eye(4, dtype=complex), widths))
         with pytest.raises(DecompositionFailure, match="^no splitting word found"):
@@ -423,15 +435,21 @@ class TestDecomposeRoutes:
         assert len(calls) == 1
         assert [leaf.n for leaf, _ in decomp.summands] == [2]
 
-    @pytest.mark.parametrize("m", [9, 16, 25])
-    def test_irreducible_object_computes_its_commutant_once(self, monkeypatch, m):
-        # A = UP, B = U(I - P) with U a random unitary and P a projection
-        # of rank m // 2: valid, not normal, and irreducible, so nothing
-        # splits and the one leaf is X with the End(X) already computed.
-        rng = np.random.default_rng(m)
-        U, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
-        P = np.diag([1.0] * (m // 2) + [0.0] * (m - m // 2))
-        X = LinearObject(m, U @ P, U @ (np.eye(m) - P))
+    @pytest.mark.parametrize("sizes", [(9,), (16,), (25,), (3, 3), (2, 5), (8, 16)],
+                             ids=["9", "16", "25", "3+3", "2+5", "8+16"])
+    def test_commutant_route_computes_its_commutant_once(self, monkeypatch, sizes):
+        # Block i of size m: A = UP, B = U(I - P) with U a random unitary
+        # (seed m + 100 i) and P a projection of rank m // 2: valid, not
+        # normal, and irreducible, and two such blocks are not isomorphic.
+        # One block does not split and two split into their blocks; either
+        # way each leaf is judged from the End(X) already computed.
+        blocks = []
+        for i, m in enumerate(sizes):
+            rng = np.random.default_rng(m + 100 * i)
+            U, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+            P = np.diag([1.0] * (m // 2) + [0.0] * (m - m // 2))
+            blocks.append(LinearObject(m, U @ P, U @ (np.eye(m) - P)))
+        X = blocks[0] if len(blocks) == 1 else direct_sum(*blocks)
         calls = []
 
         def counted(*args):
@@ -440,7 +458,7 @@ class TestDecomposeRoutes:
 
         monkeypatch.setattr("circleact.category.morphism_space", counted)
         decomp = decompose(X, seed=0)
-        assert [leaf.n for leaf, _ in decomp.summands] == [m]
+        assert sorted(leaf.n for leaf, _ in decomp.summands) == sorted(sizes)
         assert len(calls) == 1
 
     def test_classical_route_deterministic_at_size_64(self, monkeypatch):
@@ -460,11 +478,12 @@ FACTORS = [(a, b) for a in range(1, 7) for b in range(1, 7)]
     "x, y", [*FACTORS, (8, 8)], ids=[f"{a}x{b}" for a, b in FACTORS] + ["8x8"]
 )
 def test_classical_route_keeps_the_bits_of_the_joint_diagonal(monkeypatch, x, y):
-    # The leaves are the diagonals of W* A W and W* B W as the core formed
-    # them, and the isometries the columns of W, bit for bit: the fuse
-    # output bytes rest on this.
+    # The leaves are the diagonals of W* A W and W* B W for classical_form's
+    # common eigenbasis W, and the isometries the columns of W, bit for bit:
+    # the fuse output bytes rest on this.
     Z = tensor_product(sample_classical(x, seed=x).object, sample_classical(y, seed=10 + y).object)
-    W, Ad, Bd = _joint_diagonal(Z, 1e-9, 3)
+    W = classical_form(Z, seed=3).W
+    Ad, Bd = adjoint(W) @ Z.A @ W, adjoint(W) @ Z.B @ W
     refuse_commutant_route(monkeypatch)
     summands = decompose(Z, seed=3).summands
     assert [leaf.n for leaf, _ in summands] == [1] * Z.n
@@ -473,25 +492,25 @@ def test_classical_route_keeps_the_bits_of_the_joint_diagonal(monkeypatch, x, y)
     assert np.hstack([V for _, V in summands]).tobytes() == W.tobytes()
 
 
-def test_classical_route_hands_over_the_arrays_of_the_joint_diagonal(monkeypatch):
-    # W* A W and W* B W are formed once, by the core, and reach the
-    # certifier as the very arrays the core returned.
+def test_classical_route_hands_the_split_to_the_certifier(monkeypatch):
+    # The W of the one classical split reaches the certifier, cut into n
+    # columns, and is the very array the Decomposition holds.
     Z = tensor_product(sample_classical(2, seed=2).object, sample_classical(3, seed=13).object)
     returned, handed = [], []
 
-    def core(*args):
-        returned.append(_joint_diagonal(*args))
+    def split(*args):
+        returned.append(_seeded_split(*args))
         return returned[-1]
 
     def certifier(*args):
         handed.append(args)
         return _certified_decomposition(*args)
 
-    monkeypatch.setattr("circleact.category._joint_diagonal", core)
+    monkeypatch.setattr("circleact.category._seeded_split", split)
     monkeypatch.setattr("circleact.category._certified_decomposition", certifier)
     decomp = decompose(Z, seed=3)
-    [(W, Ad, Bd)], [args] = returned, handed
-    assert args[1] is W and args[2] == [1] * Z.n and args[3] is Ad and args[4] is Bd
+    [(W, _)], [args] = returned, handed
+    assert args[1] is W and args[2] == [1] * Z.n
     assert decomp.W is W
 
 
@@ -572,9 +591,8 @@ class TestCertifiedDecomposition:
 
     @staticmethod
     def certify(Z, W, dims):
-        """``_certified_decomposition`` of W, given W* A W and W* B W as a route forms them."""
-        WH = adjoint(W)
-        return _certified_decomposition(Z, W, dims, WH @ Z.A @ W, WH @ Z.B @ W, 1e-9, 0)
+        """``_certified_decomposition`` of W at tol 1e-9."""
+        return _certified_decomposition(Z, W, dims, 1e-9, 0)
 
     @staticmethod
     def columns(Z, W, dims):
