@@ -311,12 +311,15 @@ def split_hermitian(family, tol: float, rng) -> list[np.ndarray]:
         scale = max(1.0, float(np.max(np.abs(w))))
         clusters = split_by_gaps(w, gap_tol * scale)
         if len(clusters) > 1:
+            # Every final column S = U[:, [i]] as S @ I, in one product.  A copy or
+            # U * (1 + 0j) would keep -0.0 imaginary parts of eigh's that S @ I makes +0.0.
+            columns = (U.T[:, :, None] @ np.eye(1, dtype=complex))[:, :, 0].T
             blocks = []
             for cl in clusters:
-                S = U[:, cl]
-                if len(cl) == 1:  # final; S @ I turns eigh's -0.0 imaginary parts to +0.0
-                    blocks.append(S @ np.eye(1, dtype=complex))
+                if len(cl) == 1:  # final
+                    blocks.append(columns[:, cl[0]:cl[0] + 1])
                 else:
+                    S = U[:, cl]
                     blocks += [S @ V for V in split_hermitian(adjoint(S) @ family @ S, tol, rng)]
             return blocks
     return [np.eye(m, dtype=complex)]

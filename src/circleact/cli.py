@@ -71,16 +71,17 @@ MAX_N = 256
 
 
 def _read_payload(path):
+    where = "stdin" if path is None else path
     try:
         if path is None:
             text = sys.stdin.read()
-            where = "stdin"
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-            where = path
     except OSError as exc:
         raise SchemaError(f"cannot read input: {exc}") from exc
+    except UnicodeDecodeError as exc:  # named, as fuse reads two inputs
+        raise SchemaError(f"{where}: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -129,35 +130,51 @@ _CONSTANTS = {None: "null", True: "true", False: "false"}
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _encode(o, depth: int = 0) -> str:
+def _encode(o) -> str:
     """``json.dumps(o, indent=2, sort_keys=True)``, byte for byte.
 
-    The rules are ``json.encoder._make_iterencode``'s, without its
-    generator chain; a list of [re, im] float pairs (the ``data`` of
-    every matrix and vector) is rendered in C-level calls.
+    The rules are ``json.encoder._make_iterencode``'s, without its generator
+    chain: ``_append`` adds fragments to one list, joined once.  A list of
+    [re, im] float pairs (every matrix and vector ``data``) is one ``%`` format.
     """
-    if o is None or o is True or o is False:
-        return _CONSTANTS[o]
-    if isinstance(o, str):
-        return _quote(o)
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        text = float.__repr__(o)
-        return _NON_FINITE.get(text, text)
-    outer = "\n" + "  " * depth
+    parts = []
+    _append(o, "\n", parts)
+    return "".join(parts)
+
+
+def _append(o, outer: str, parts: list) -> None:
+    """Append o's fragments to parts; a list or dict of o's closes at ``outer``."""
     inner = outer + "  "
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        body = _float_pairs(o, inner) or ("," + inner).join([_encode(x, depth + 1) for x in o])
-        return "[" + inner + body + outer + "]"
     if isinstance(o, dict):
-        if not o:
-            return "{}"
-        items = [_quote(_key(k)) + ": " + _encode(v, depth + 1) for k, v in sorted(o.items())]
-        return "{" + inner + ("," + inner).join(items) + outer + "}"
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        for i, (k, v) in enumerate(sorted(o.items())):
+            head = ("," if i else "{") + inner + _quote(k if type(k) is str else _key(k)) + ": "
+            if type(v) is str:  # the common leaves, inline
+                parts.append(head + _quote(v))
+            elif type(v) is int:
+                parts.append(head + int.__repr__(v))
+            else:
+                parts.append(head)
+                _append(v, inner, parts)
+        parts.append(outer + "}" if o else "{}")
+    elif isinstance(o, (list, tuple)):
+        pairs = _float_pairs(o, outer, inner) if o else "[]"
+        if pairs is None:
+            for i, x in enumerate(o):
+                parts.append(("," if i else "[") + inner)
+                _append(x, inner, parts)
+            pairs = outer + "]"
+        parts.append(pairs)
+    elif o is None or o is True or o is False:
+        parts.append(_CONSTANTS[o])
+    elif isinstance(o, str):
+        parts.append(_quote(o))
+    elif isinstance(o, int):
+        parts.append(int.__repr__(o))
+    elif isinstance(o, float):
+        text = float.__repr__(o)
+        parts.append(_NON_FINITE.get(text, text))
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def _key(k) -> str:
@@ -166,17 +183,18 @@ def _key(k) -> str:
     return k if isinstance(k, str) else _encode(k)
 
 
-def _float_pairs(o, inner: str):
-    """The items of a list of finite [re, im] float pairs at ``inner``, else None."""
+def _float_pairs(o, outer: str, inner: str):
+    """o rendered if a list of finite [re, im] float pairs (items at ``inner``), else None."""
     if set(map(type, o)) != {list} or set(map(len, o)) != {2}:
         return None
-    if set(map(type, chain.from_iterable(o))) != {float}:
+    floats = tuple(chain.from_iterable(o))
+    if set(map(type, floats)) != {float}:
         return None
     deeper = inner + "  "
-    reprs = map(float.__repr__, chain.from_iterable(o))
-    pairs = (inner + "]," + inner + "[" + deeper).join(map(("," + deeper).join, zip(reprs, reprs)))
+    pair = "[" + deeper + "%r," + deeper + "%r" + inner + "]"
+    text = ("[" + inner + ("," + inner).join([pair] * len(o)) + outer + "]") % floats
     # Only "nan" and "inf" put an "n" among the digits, signs, "." and "e".
-    return None if "n" in pairs else "[" + deeper + pairs + inner + "]"
+    return None if "n" in text else text
 
 
 def _prefixed(prefix: str, report: CertificateReport):

@@ -315,6 +315,7 @@ def test_criterion_6_numerical_hygiene():
     # CLI golden files byte-stable under --reproducible
     golden_ok = True
     identity = str(GOLDEN / "identity_object.json")
+    diagonal = [str(GOLDEN / f"diagonal_n{n}.json") for n in (3, 2)]
     conjugated = (GOLDEN / "conjugate_identity.json").read_text(encoding="utf-8")
     commands = {  # golden file: (argv, text piped to stdin)
         "check_identity.json": (["check", "--input", identity], None),
@@ -322,6 +323,7 @@ def test_criterion_6_numerical_hygiene():
         "conjugate_identity.json": (["conjugate", "--input", identity], None),
         "certify_identity.json": (["certify"], conjugated),
         "fuse_identity.json": (["fuse", identity, identity], None),
+        "fuse_diagonal.json": (["fuse", *diagonal], None),
     }
     for fname, (argv, stdin) in commands.items():
         outs = []

@@ -132,6 +132,24 @@ class TestTensorProduct:
             assert frobenius(Z.B - symbolic.get(-1, 0)) <= 1e-12
             assert all(abs(d) == 1 for d in symbolic)
 
+    @pytest.mark.parametrize("nx, ny", [(1, 1), (1, 4), (3, 1), (2, 3), (5, 4)])
+    def test_matches_the_kron_formula_bit_for_bit(self, nx, ny):
+        rng = np.random.default_rng(10 * nx + ny)
+
+        def factor(n):
+            M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            M[rng.random((n, n)) < 0.2] = 0.0
+            M.real[rng.random((n, n)) < 0.3] = -0.0
+            M.imag[rng.random((n, n)) < 0.3] = -0.0
+            M.real.flat[0] = M.imag.flat[-1] = -0.0  # a 1 x 1 factor too
+            return M
+
+        X, Y = (LinearObject(n, factor(n), factor(n)) for n in (nx, ny))
+        Z = tensor_product(X, Y)
+        A = np.kron(X.A, Y.A) + np.kron(adjoint(X.B), Y.B)
+        B = np.kron(X.B, Y.A) + np.kron(adjoint(X.A), Y.B)
+        assert (Z.A.tobytes(), Z.B.tobytes()) == (A.tobytes(), B.tobytes())
+
     def test_unit_object_both_sides(self):
         unit = rotation(1.0)
         X = sample_classical(3, seed=8).object

@@ -92,6 +92,15 @@ class TestGolden:
         assert code == 0
         assert out == (GOLDEN / "fuse_identity.json").read_text(encoding="utf-8")
 
+    def test_fuse_of_diagonal_objects_matches_committed_bytes(self, capsys):
+        # Distinct phases: every eigenvalue of the first word is its own
+        # cluster, and eigh's eigenvectors of the diagonal word hold exact zeros.
+        argv = ["fuse", *(str(GOLDEN / f"diagonal_n{n}.json") for n in (3, 2)), "--reproducible"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert out == (GOLDEN / "fuse_diagonal.json").read_text(encoding="utf-8")
+        assert len(json.loads(out)["decomposition"]["summands"]) == 6
+
     def test_reproducible_runs_are_byte_identical(self, capsys, tmp_path):
         argv = ["sample", "--n", "2", "--seed", "5", "--reproducible"]
         _, out1, _ = run_cli(capsys, argv)
@@ -137,6 +146,25 @@ class TestExitCodes:
         )
         assert code == 2
         assert "cannot read input" in err
+
+    def test_input_that_is_not_utf8_exits_two_naming_the_file(self, capsys, tmp_path):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b"\xff{}")
+        code, out, err = run_cli(capsys, ["check", "--input", str(path)])
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte\n"
+        )
+
+    def test_fuse_names_its_second_input_when_it_is_not_utf8(self, capsys, tmp_path):
+        good = write_json(tmp_path / "good.json", IDENTITY2.to_json())
+        bad = tmp_path / "bad.json"
+        bad.write_bytes('{"n": "\u00e9"}'.encode("latin-1"))
+        code, out, err = run_cli(capsys, ["fuse", good, str(bad)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xe9 ")
+        assert good not in err and err.count("\n") == 1
 
     def test_unwritable_output_exits_two(self, capsys, tmp_path):
         target = tmp_path / "missing" / "out.json"
@@ -751,6 +779,38 @@ class TestWriter:
     def test_refuses_what_json_dumps_refuses(self, bad):
         assert outcome(cli._encode, bad) == outcome(dumps, bad)
         assert isinstance(outcome(cli._encode, bad), tuple)
+
+    @pytest.mark.parametrize("leaf", ["x", "\u00e9\"", 0, -7, 10**30, True, False, None, 1.5,
+                                      -0.0, float("nan"), float("-inf"), np.float64(2.5)])
+    def test_leaves_at_depth_two_and_more(self, leaf):
+        for tree in ({"a": {"b": leaf}}, [[leaf, leaf]], {"k": [{"v": leaf, "w": [leaf]}]}):
+            assert cli._encode(tree) == dumps(tree)
+
+    @pytest.mark.parametrize("keys", [[3, -1, 10**20], [2.5, -0.0, float("inf"), float("nan")],
+                                      [True, False], [None], [1, "1"], ["b", 2, "a"]])
+    def test_dicts_keyed_by_one_type_or_mixed(self, keys):
+        tree = {"outer": {k: i for i, k in enumerate(keys)}}
+        assert outcome(cli._encode, tree) == outcome(dumps, tree)
+        if any(type(k) is str for k in keys) and any(type(k) is int for k in keys):
+            assert outcome(cli._encode, tree)[0] is TypeError
+
+    @pytest.mark.parametrize("depth", range(6))
+    @pytest.mark.parametrize("floats", [
+        [-0.0, 0.0, 1e16, -1e16, 1e-5, -1e-5],
+        [5e-324, -5e-324, 2.2250738585072014e-308, 1e-310],
+        [1.0, float("nan")],
+        [float("inf"), 0.0, 1.0, float("-inf")],
+    ], ids=["signs-and-exponents", "subnormals", "nan", "inf"])
+    def test_pair_lists_at_depth(self, floats, depth):
+        tree = [floats[i:i + 2] for i in range(0, len(floats), 2)]
+        for level in range(depth):
+            tree = {"data": tree} if level % 2 else [tree]
+        assert cli._encode(tree) == dumps(tree)
+
+    @pytest.mark.parametrize("tree", [{}, [], {"a": {}}, {"a": []}, [[]], [{}], [[], {}, [[]]],
+                                      {"a": {"b": {"c": {}}}}, ((), {"t": ()})])
+    def test_nested_empty_containers(self, tree):
+        assert cli._encode(tree) == dumps(tree)
 
     @pytest.mark.parametrize("argv", PAYLOAD_ARGVS, ids=lambda argv: "-".join(argv[:3]))
     def test_every_subcommand_payload(self, monkeypatch, capsys, tmp_path, argv):

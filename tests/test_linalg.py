@@ -67,6 +67,19 @@ class TestKron:
                     for l in range(2):
                         assert abs(K[i * 3 + k, j * 2 + l] - X[i, j] * Y[k, l]) < 1e-12
 
+    @pytest.mark.parametrize("shapes", [((1, 1), (1, 1)), ((1, 1), (3, 2)), ((2, 3), (1, 4)),
+                                        ((4, 4), (3, 3)), ((6, 6), (6, 6))])
+    def test_matches_numpy_kron_bit_for_bit(self, shapes):
+        rng = np.random.default_rng(sum(map(sum, shapes)))
+        X, Y = (random_complex(rng, *shape) for shape in shapes)
+        for M in (X, Y):
+            M[rng.random(M.shape) < 0.2] = 0.0
+            M.real[rng.random(M.shape) < 0.3] = -0.0
+            M.real.flat[0] = M.imag.flat[-1] = -0.0
+        for P, Q in ((X, Y), (adjoint(X), Y), (Y.real, X)):
+            assert kron(P, Q).tobytes() == np.kron(P, Q).tobytes()
+            assert kron(P, Q).shape == np.kron(P, Q).shape
+
     def test_mixed_product_property(self):
         rng = np.random.default_rng(4)
         for _ in range(10):

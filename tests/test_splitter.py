@@ -3,10 +3,11 @@
 The oracle is the splitter that recursed into every eigenvalue cluster,
 a single eigenvalue included, only to find such a block final there.
 ``circleact.certify.split_hermitian`` appends a one-eigenvalue cluster
-S as S @ I at once.  The recursion returned the 1 x 1 identity before
-drawing from the generator, and S @ I is the product it appended, so
-the blocks must agree bit for bit (signed zeros included) and the
-generator must be left in the same state.
+S as S @ I at once, all of a level's columns formed in one product.
+The recursion returned the 1 x 1 identity before drawing from the
+generator, and S @ I is the product it appended, so the blocks must
+agree bit for bit (signed zeros included) and the generator must be
+left in the same state.
 """
 
 import numpy as np
@@ -135,3 +136,52 @@ def test_signed_zeros_of_eigh_are_normalized_as_before(n):
     singles = [cl[0] for cl in split_by_gaps(w, 1e-7 * max(1.0, np.abs(w).max())) if len(cl) == 1]
     assert (np.signbit(U[:, singles].imag) & (U[:, singles].imag == 0)).any()
     assert_same_split(stack, 0)
+
+
+KINDS = ["complex", "real", "sparse"]
+
+
+def hermitian_matrix(kind, m):
+    """A complex Hermitian, real symmetric or sparse m x m matrix with m distinct eigenvalues."""
+    rng = np.random.default_rng(m)
+    if kind == "complex":
+        R = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        return R + adjoint(R)
+    if kind == "real":
+        R = rng.standard_normal((m, m))
+        return (R + R.T).astype(complex)
+    # Blocks of one and two coordinates: eigh's eigenvectors hold exact zeros.
+    H = np.diag(rng.standard_normal(m)).astype(complex)
+    for i in range(0, m - 1, 3):
+        H[i, i + 1] = rng.standard_normal() + 1j * rng.standard_normal()
+        H[i + 1, i] = H[i, i + 1].conjugate()
+    return H
+
+
+def first_word_eigenvectors(family, rng):
+    return hermitian_eig(np.tensordot(rng.standard_normal(len(family)), family, axes=1))[1]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("m", range(2, 41))
+def test_one_eigenvalue_blocks_are_the_per_column_products(kind, m):
+    # Every cluster of the first word holds one eigenvalue: split_hermitian
+    # forms all m final columns in one product, which must give the bytes
+    # of each column S = U[:, [i]] times the 1 x 1 identity.
+    family = hermitian_matrix(kind, m)[None]
+    blocks = split_hermitian(family, 1e-9, seeded(0, m))
+    U = first_word_eigenvectors(family, seeded(0, m))
+    assert [V.shape for V in blocks] == [(m, 1)] * m
+    one = np.eye(1, dtype=complex)
+    assert [V.tobytes() for V in blocks] == [(U[:, [i]] @ one).tobytes() for i in range(m)]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_the_eigenvectors_above_hold_signed_or_exact_zeros(kind):
+    # -0.0 imaginary parts in the dense kinds, exact zeros in the sparse one.
+    found = 0
+    for m in range(2, 41):
+        U = first_word_eigenvectors(hermitian_matrix(kind, m)[None], seeded(0, m))
+        zeros = (U == 0) if kind == "sparse" else np.signbit(U.imag) & (U.imag == 0)
+        found += zeros.sum()
+    assert found > 0
