@@ -311,8 +311,7 @@ def split_hermitian(family, tol: float, rng) -> list[np.ndarray]:
         scale = max(1.0, float(np.max(np.abs(w))))
         clusters = split_by_gaps(w, gap_tol * scale)
         if len(clusters) > 1:
-            # Every final column S = U[:, [i]] as S @ I, in one product.  A copy or
-            # U * (1 + 0j) would keep -0.0 imaginary parts of eigh's that S @ I makes +0.0.
+            # Each final U[:, [i]] @ I in one product; a copy keeps eigh's -0.0 imaginary parts.
             columns = (U.T[:, :, None] @ np.eye(1, dtype=complex))[:, :, 0].T
             blocks = []
             for cl in clusters:

@@ -124,11 +124,12 @@ def kron(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     Entry convention: (X kron Y)[(i, k), (j, l)] = X[i, j] * Y[k, l] where
     the flat row index is i * Y.shape[0] + k and the flat column index is
     j * Y.shape[1] + l.  With this convention and row-major vectorization
-    vec(M) of a matrix M, (X kron Y) vec(M) = vec(X @ M @ Y.T).  Formed as
-    one broadcast product of two 2-D arrays: ``np.kron``'s entrywise
-    products, bit for bit, without its wrapper.
+    vec(M) of a matrix M, (X kron Y) vec(M) = vec(X @ M @ Y.T).  Both factors
+    must be 2-D.  One broadcast product of ``np.kron``'s entrywise products.
     """
     X, Y = np.asarray(X), np.asarray(Y)
+    if X.ndim != 2 or Y.ndim != 2:
+        raise DimensionMismatch(f"kron: expected two 2-D arrays, got ndim {X.ndim} and {Y.ndim}")
     shape = (len(X) * len(Y), X.shape[1] * Y.shape[1])
     return (X[:, None, :, None] * Y[None, :, None, :]).reshape(shape)
 

@@ -80,6 +80,13 @@ class TestKron:
             assert kron(P, Q).tobytes() == np.kron(P, Q).tobytes()
             assert kron(P, Q).shape == np.kron(P, Q).shape
 
+    @pytest.mark.parametrize("shapes", [((3,), (2, 2)), ((2, 2), (4,)), ((2, 2, 2), (2, 2)), ((), (1, 1))])
+    def test_refuses_factors_that_are_not_2d(self, shapes):
+        X, Y = (np.ones(shape) for shape in shapes)
+        ndims = f"ndim {len(shapes[0])} and {len(shapes[1])}"
+        with pytest.raises(DimensionMismatch, match=f"kron: expected two 2-D arrays, got {ndims}"):
+            kron(X, Y)
+
     def test_mixed_product_property(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
