@@ -15,19 +15,14 @@ holds the two routes against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import adjoint, frobenius, kron, nullspace_basis, unvec
-from .linalg import _matrix_to_json, _require_int, _require_positive
+from .linalg import _require_int, _require_positive
 from .coaction import CertificateReport, CheckResult, LinearObject, check_homomorphism
-from .coaction import _as_pairing, _object_json
-from .certify import _seeded_split, certify_commutativity
-
-
-class DecompositionFailure(RuntimeError):
-    """Decomposition into irreducible summands did not certify."""
+from .coaction import _as_pairing
+from .certify import Decomposition, DecompositionFailure, _certified_decomposition
+from .certify import _classical_split, _seeded_split, certify_commutativity
 
 
 def direct_sum(X: LinearObject, Y: LinearObject) -> LinearObject:
@@ -83,40 +78,6 @@ def is_irreducible(X: LinearObject, tol: float = 1e-9) -> bool:
     return len(morphism_space(X, X, tol)) == 1
 
 
-@dataclass(frozen=True, eq=False)
-class Decomposition:
-    """A split held as the arrays that certified it: the stacked isometry
-    W = [V_1 ... V_k] that ``_seeded_split`` formed, its block widths, the
-    block diagonal leaves LA, LB of W* A W and W* B W, and the seed, all
-    formed and measured by ``_certified_decomposition``.  Summand i is
-    (LA_ii, LB_ii) with isometry V_i.  The seed is a non-negative int."""
-
-    W: np.ndarray
-    widths: tuple
-    LA: np.ndarray
-    LB: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        _require_int(self.seed, "seed")
-
-    def _blocks(self) -> list:
-        """(LA_ii, LB_ii, V_i) per summand, as slices of the certified arrays."""
-        ends = np.cumsum(self.widths).tolist()
-        return [(self.LA[s, s], self.LB[s, s], self.W[:, s])
-                for s in (slice(e - d, e) for e, d in zip(ends, self.widths))]
-
-    @property
-    def summands(self) -> tuple:
-        """(leaf object, V_i) per summand, built on each access."""
-        return tuple((LinearObject(len(A), A, B), V) for A, B, V in self._blocks())
-
-    def to_json(self) -> dict:
-        summands = [{"object": _object_json(A, B), "isometry": _matrix_to_json(V)}
-                    for A, B, V in self._blocks()]
-        return {"summands": summands, "seed": self.seed}
-
-
 def decompose(X: LinearObject, tol: float = 1e-9, seed: int = 0) -> Decomposition:
     """Split a candidate into irreducible summands.
 
@@ -127,19 +88,20 @@ def decompose(X: LinearObject, tol: float = 1e-9, seed: int = 0) -> Decompositio
        them has a *-closed End(X), since every intertwiner commutes
        with the unitary U = A + B and the projection P = A*A.
     2. The classical route, taken when ``certify_commutativity`` passes:
-       ``_seeded_split`` splits the stack [A, B] into a common eigenbasis
-       W, and the certifier measures W cut into its n columns, each an
-       isometry onto a one dimensional summand.
+       ``_classical_split``, the call ``classical_form`` makes, splits
+       [A, B] into a common eigenbasis W and certifies W cut into its n
+       columns, each an isometry onto a one dimensional summand.
     3. The commutant route, taken when the commutativity residuals fail
        or the certifier refuses the classical split:
        ``_decompose_commutant`` splits End(X) instead.
 
     Each route hands its W to ``_certified_decomposition``, the one place
-    that forms W* A W and W* B W and judges a split; its certified arrays
-    are the Decomposition.  Any failure raises DecompositionFailure;
-    nothing is certified by construction.  A seed that is not a
-    non-negative int raises ValueError before any splitting word or End(X)
-    is computed, and so does a tol that is not finite and positive.
+    that forms W* A W and W* B W and judges a split, the off-diagonal mass
+    of all summands included; its certified arrays are the Decomposition.
+    Any failure raises DecompositionFailure; nothing is certified by
+    construction.  A seed that is not a non-negative int raises ValueError
+    before any splitting word or End(X) is computed, and so does a tol
+    that is not finite and positive.
 
     Deterministic for fixed (X, tol, seed); summands come out ordered by
     the eigenvalue clusters of the random words.
@@ -149,10 +111,8 @@ def decompose(X: LinearObject, tol: float = 1e-9, seed: int = 0) -> Decompositio
     )
     if not certify_commutativity(X, tol).overall_pass:
         return _decompose_commutant(X, tol, seed)
-    W, _ = _seeded_split(np.stack([X.A, X.B]), tol, seed)
     try:
-        # Widths [1] * n, not the splitter's: a scalar family comes back as one block.
-        return _certified_decomposition(X, W, [1] * X.n, tol, seed)
+        return _classical_split(X, tol, seed)
     except DecompositionFailure:
         return _decompose_commutant(X, tol, seed)
 
@@ -187,43 +147,6 @@ def _decompose_commutant(X: LinearObject, tol: float, seed: int) -> Decompositio
         if not frobenius(traceless) <= tol * np.sqrt(X.n):
             raise DecompositionFailure("no splitting word found for a reducible candidate")
     return decomp
-
-
-def _certified_decomposition(
-    X: LinearObject, W: np.ndarray, widths: list, tol: float, seed: int
-) -> Decomposition:
-    """Certify the summands of X cut from W by widths at tol*sqrt(n).
-
-    W comes from ``_seeded_split``; W* A W and W* B W are formed here, and
-    the leaves L_A, L_B are their diagonal blocks.  W is measured here:
-    W*W - I on the diagonal blocks, X.A W - W L_A and X.B W - W L_B (each
-    read per summand's columns; the first failing summand and check is
-    reported), then W W* - I.  The certified arrays are the returned
-    Decomposition."""
-    n = X.n
-    check_tol = tol * np.sqrt(n)
-    starts = np.cumsum([0, *widths[:-1]])
-    block = np.repeat(np.arange(len(widths)), widths)
-    mask = block[:, None] == block
-    WH = adjoint(W)
-    # np.where, not a product with mask: that would turn -0.0 into +0.0.
-    LA, LB = (np.where(mask, WH @ M @ W, 0) for M in (X.A, X.B))
-    residuals = (
-        (WH @ W - np.eye(W.shape[1])) * mask,
-        X.A @ W - W @ LA,
-        X.B @ W - W @ LB,
-    )
-    columns = [(R.real**2 + R.imag**2).sum(axis=0) for R in residuals]
-    passed = np.sqrt(np.add.reduceat(columns, starts, axis=1)) <= check_tol
-    for _, check in np.argwhere(~passed.T)[:1]:  # the first failing summand, then check
-        raise DecompositionFailure(
-            ("summand isometry is not orthonormal",
-             "summand does not intertwine the +1 coefficient",
-             "summand does not intertwine the -1 coefficient")[check]
-        )
-    if not frobenius(W @ adjoint(W) - np.eye(n)) <= check_tol:
-        raise DecompositionFailure("summand isometries do not resolve the identity")
-    return Decomposition(W, tuple(widths), LA, LB, seed)
 
 
 def check_snake(s, t, n: int, tol: float = 1e-9) -> CertificateReport:

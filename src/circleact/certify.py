@@ -14,6 +14,7 @@ fall out in order and each step can be certified numerically:
 
 ``classical_form`` performs step 5 constructively and is the bridge to
 the classification of these coactions by classical circle symmetries.
+Every split is judged here, by ``_certified_decomposition``.
 Each public step refuses input failing its preconditions, then runs a
 private core; the CLI calls each core once its own checks of them pass.
 A tol that is not finite and positive is refused by the first report.
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import adjoint, as_matrix, frobenius, hermitian_eig, split_by_gaps
-from .linalg import _matrix_to_json, _require_positive, _seeded_rng
+from .linalg import _matrix_to_json, _require_int, _require_positive, _seeded_rng
 from .coaction import (
     CertificateReport,
     CheckResult,
@@ -36,10 +37,15 @@ from .coaction import (
     check_homomorphism,
     kac_vector,
 )
+from .coaction import _object_json
 
 
 class ConstraintViolation(ValueError):
     """Input violates a precondition established by an earlier check."""
+
+
+class DecompositionFailure(RuntimeError):
+    """Decomposition into irreducible summands did not certify."""
 
 
 class NotSimultaneouslyDiagonalizable(RuntimeError):
@@ -203,13 +209,14 @@ def classical_form(
     the four Hermitian generators built from A and B is diagonalized;
     near-degenerate eigenvalue clusters are refined recursively with
     fresh words until every generator is scalar on every block.  The
-    resulting basis W is checked: if off-diagonal mass above tol*sqrt(n)
-    survives, NotSimultaneouslyDiagonalizable is raised.  Each diagonal
-    slot must then be a rotation (unit modulus A entry, vanishing B
-    entry) or a reflection (the other way round); a slot with both
-    moduli above tol raises AmbiguousSlot.  Last, W W* - I above
-    tol*sqrt(n) raises NotSimultaneouslyDiagonalizable.  Each check
-    passes only when its residual is at most its bound, so a NaN fails.
+    basis W is judged as n columns by ``decompose``'s classical certifier
+    (each column, then all columns' off-diagonal mass, then W W* - I, at
+    tol*sqrt(n)); a refusal raises NotSimultaneouslyDiagonalizable with
+    its message, e.g. "summand 0 isometry is not orthonormal: nan exceeds
+    1.732e-09".  Only then must each slot be a rotation (unit modulus A
+    entry, vanishing B entry) or a reflection (the other way round); a slot
+    with both moduli above tol raises AmbiguousSlot.  Each check passes
+    only when its residual is at most its bound, so a NaN fails.
 
     Deterministic for fixed (obj, tol, seed): randomness comes from a
     named-seed generator consumed in a fixed recursion order.  A tol or
@@ -225,33 +232,21 @@ def classical_form(
 
 
 def _classical_form(obj: LinearObject, tol: float, seed: int) -> ClassicalDecomposition:
-    A, B, n = obj.A, obj.B, obj.n
-    W, _ = _seeded_split(np.stack([A, B]), tol, seed)
-    Ad = adjoint(W) @ A @ W
-    Bd = adjoint(W) @ B @ W
-    off = np.sqrt(
-        frobenius(Ad - np.diag(np.diag(Ad))) ** 2
-        + frobenius(Bd - np.diag(np.diag(Bd))) ** 2
-    )
-    if not off <= tol * np.sqrt(n):
-        raise NotSimultaneouslyDiagonalizable(
-            f"off-diagonal mass {off:.3e} exceeds {tol * np.sqrt(n):.3e}"
-        )
-    a, b = np.abs(np.diag(Ad)), np.abs(np.diag(Bd))
+    try:
+        split = _classical_split(obj, tol, seed)
+    except DecompositionFailure as exc:
+        raise NotSimultaneouslyDiagonalizable(str(exc)) from exc
+    Ad, Bd = np.diag(split.LA), np.diag(split.LB)
+    a, b = np.abs(Ad), np.abs(Bd)
     for i in np.flatnonzero(~(np.minimum(a, b) <= tol))[:1]:  # np.minimum keeps a NaN
         raise AmbiguousSlot(
             f"slot {i} carries weight on both coefficients: |a|={a[i]:.3e}, |b|={b[i]:.3e}"
         )
-    drift, bound = frobenius(W @ adjoint(W) - np.eye(n)), tol * np.sqrt(n)
-    if not drift <= bound:
-        raise NotSimultaneouslyDiagonalizable(
-            f"eigenbasis is not unitary: |WW*-I| = {drift:.3e} exceeds {bound:.3e}"
-        )
     characters = tuple(
         Character("rotation", a) if abs(a) >= abs(b) else Character("reflection", b)
-        for a, b in zip(np.diag(Ad).tolist(), np.diag(Bd).tolist())
+        for a, b in zip(Ad.tolist(), Bd.tolist())
     )
-    return ClassicalDecomposition(W, characters)
+    return ClassicalDecomposition(split.W, characters)
 
 
 def _require_valid_pair(pair: ConjugatePair, tol: float) -> None:
@@ -263,18 +258,101 @@ def _require_valid_pair(pair: ConjugatePair, tol: float) -> None:
     )
 
 
+def _classical_split(obj: LinearObject, tol: float, seed: int) -> Decomposition:
+    """``_seeded_split`` of [A, B], certified as n summands of width 1, not at
+    the splitter's widths (a scalar family comes back as one block)."""
+    W, _ = _seeded_split(np.stack([obj.A, obj.B]), tol, seed)
+    return _certified_decomposition(obj, W, [1] * obj.n, tol, seed)
+
+
 def _seeded_split(mats: np.ndarray, tol: float, seed: int) -> tuple[np.ndarray, list]:
     """Split a (k, m, m) stack along the Hermitian parts T + T*, i(T - T*)
     of each member T in turn, drawing words from ``_seeded_rng(seed, m)``.
     Returns the stacked isometry W = [V_1 ... V_k], formed here and nowhere
-    else, and the widths of its blocks.  ``classical_form`` and both
-    decomposition routes split through here; W is measured, and W*AW and
-    W*BW are formed, by ``_classical_form`` or by ``decompose``'s certifier."""
+    else, and the widths of its blocks.  Every split is formed here and
+    judged by ``_certified_decomposition`` alone."""
     m = mats.shape[-1]
     mats_h = mats.conj().transpose(0, 2, 1)
     family = np.stack([mats + mats_h, 1j * (mats - mats_h)], axis=1).reshape(-1, m, m)
     blocks = split_hermitian(family, tol, _seeded_rng(seed, m))
     return np.hstack(blocks), [V.shape[1] for V in blocks]
+
+
+@dataclass(frozen=True, eq=False)
+class Decomposition:
+    """A split held as the arrays that certified it: the stacked isometry
+    W = [V_1 ... V_k] that ``_seeded_split`` formed, its block widths, the
+    block diagonal leaves LA, LB of W* A W and W* B W, and the seed, all
+    formed and measured by ``_certified_decomposition``.  Summand i is
+    (LA_ii, LB_ii) with isometry V_i.  The seed is a non-negative int."""
+
+    W: np.ndarray
+    widths: tuple
+    LA: np.ndarray
+    LB: np.ndarray
+    seed: int
+
+    def __post_init__(self):
+        _require_int(self.seed, "seed")
+
+    def _blocks(self) -> list:
+        """(LA_ii, LB_ii, V_i) per summand, as slices of the certified arrays."""
+        ends = np.cumsum(self.widths).tolist()
+        return [(self.LA[s, s], self.LB[s, s], self.W[:, s])
+                for s in (slice(e - d, e) for e, d in zip(ends, self.widths))]
+
+    @property
+    def summands(self) -> tuple:
+        """(leaf object, V_i) per summand, built on each access."""
+        return tuple((LinearObject(len(A), A, B), V) for A, B, V in self._blocks())
+
+    def to_json(self) -> dict:
+        summands = [{"object": _object_json(A, B), "isometry": _matrix_to_json(V)}
+                    for A, B, V in self._blocks()]
+        return {"summands": summands, "seed": self.seed}
+
+
+def _certified_decomposition(
+    X: LinearObject, W: np.ndarray, widths: list, tol: float, seed: int
+) -> Decomposition:
+    """Certify the summands of X cut from W by widths at tol*sqrt(n).
+
+    W comes from ``_seeded_split``; W* A W and W* B W are formed here, and
+    the leaves L_A, L_B are their diagonal blocks.  W is measured here:
+    W*W - I on the diagonal blocks, X.A W - W L_A and X.B W - W L_B (each
+    read per summand's columns; the first failing summand and check is
+    reported), then the off-diagonal mass, the root-sum-square of both
+    intertwining residuals over all columns (for a unitary W, the mass off
+    the diagonal blocks of W* A W and W* B W), then W W* - I."""
+    n = X.n
+    check_tol = tol * np.sqrt(n)
+    starts = np.cumsum([0, *widths[:-1]])
+    block = np.repeat(np.arange(len(widths)), widths)
+    mask = block[:, None] == block
+    WH = adjoint(W)
+    # np.where, not a product with mask: that would turn -0.0 into +0.0.
+    LA, LB = (np.where(mask, WH @ M @ W, 0) for M in (X.A, X.B))
+    residuals = (
+        (WH @ W - np.eye(W.shape[1])) * mask,
+        X.A @ W - W @ LA,
+        X.B @ W - W @ LB,
+    )
+    columns = [(R.real**2 + R.imag**2).sum(axis=0) for R in residuals]
+    per_summand = np.sqrt(np.add.reduceat(columns, starts, axis=1))
+    for i, check in np.argwhere(~(per_summand <= check_tol).T)[:1]:  # first summand, then check
+        what = ("isometry is not orthonormal", "does not intertwine the +1 coefficient",
+                "does not intertwine the -1 coefficient")[check]
+        raise DecompositionFailure(
+            f"summand {i} {what}: {per_summand[check, i]:.3e} exceeds {check_tol:.3e}"
+        )
+    off = np.sqrt(columns[1].sum() + columns[2].sum())
+    if not off <= check_tol:
+        raise DecompositionFailure(f"off-diagonal mass {off:.3e} exceeds {check_tol:.3e}")
+    drift = frobenius(W @ WH - np.eye(n))
+    if not drift <= check_tol:
+        raise DecompositionFailure("summand isometries do not resolve the identity: "
+                                   f"|WW*-I| = {drift:.3e} exceeds {check_tol:.3e}")
+    return Decomposition(W, tuple(widths), LA, LB, seed)
 
 
 def split_hermitian(family, tol: float, rng) -> list[np.ndarray]:
@@ -298,13 +376,13 @@ def split_hermitian(family, tol: float, rng) -> list[np.ndarray]:
     together span C^m, in a fixed order.  Deterministic for fixed
     (family, tol, rng state): rng is consumed in recursion order.
     """
-    m = family.shape[-1]
+    k, _, m = family.shape
     gap_tol = max(1e-7, 100.0 * tol)
     means = np.trace(family, axis1=1, axis2=2)[:, None, None] / m
     if m == 1 or np.all(np.linalg.norm(family - means * np.eye(m), axis=(1, 2)) <= gap_tol):
         return [np.eye(m, dtype=complex)]
     for _ in range(6):
-        H = np.tensordot(rng.standard_normal(len(family)), family, axes=1)
+        H = np.dot(rng.standard_normal(k).reshape(1, k), family.reshape(k, -1)).reshape(m, m)
         # Looked up through this module's global, so a wrapper installed on
         # circleact.certify.hermitian_eig (perfbench's tracer) sees both callers.
         w, U = hermitian_eig(H)

@@ -196,9 +196,8 @@ def split_by_gaps(values: np.ndarray, gap: float) -> list[np.ndarray]:
     values = np.asarray(values)
     if values.size == 0:
         return []
-    idx = np.arange(values.size)
-    breaks = np.nonzero(np.diff(values) > gap)[0]
-    return list(np.split(idx, breaks + 1))
+    ends = (np.flatnonzero(np.diff(values) > gap) + 1).tolist()
+    return [np.arange(s, e) for s, e in zip([0, *ends], [*ends, values.size])]
 
 
 def matrix_to_json(M: np.ndarray) -> dict:

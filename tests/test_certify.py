@@ -182,8 +182,10 @@ class TestCommutativity:
 
 
 BROKEN_SPLITS = {
-    "nan_blocks": (lambda V: np.full_like(V, np.nan), "^off-diagonal mass nan exceeds "),
-    "doubled_blocks": (lambda V: 2 * V, r"^eigenbasis is not unitary: \|WW\*-I\| = 5\.196e\+00 "),
+    "nan_blocks": (lambda V: np.full_like(V, np.nan),
+                   r"^summand 0 isometry is not orthonormal: nan exceeds 1\.732e-09$"),
+    "doubled_blocks": (lambda V: 2 * V,
+                       r"^summand 0 isometry is not orthonormal: 3\.000e\+00 exceeds 1\.732e-09$"),
 }
 
 
@@ -214,6 +216,88 @@ class TestBrokenSplitter:
         payload = json.loads(capsys.readouterr().out)
         assert code == 1 and payload["report"]["overall_pass"] and "classical" not in payload
         assert re.match(broken_split, payload["error"])
+
+
+def rotations(n):
+    """n rotation characters of distinct phases, on the diagonal."""
+    return LinearObject(n, np.diag(np.exp(1j * np.arange(n))), np.zeros((n, n)))
+
+
+def pair_mixed(n, share, tol=1e-9):
+    """The identity with columns 2k, 2k+1 rotated into each other, by the
+    angle at which each column's +1 intertwining residual is share of
+    tol*sqrt(n); the -1 residual and W*W - I vanish."""
+    phases, W = np.exp(1j * np.arange(n)), np.eye(n, dtype=complex)
+    for i in range(0, n - 1, 2):
+        # A column mixed at angle t has residual |cos t sin t| |phase_i - phase_j|.
+        t = np.arcsin(2 * share * tol * np.sqrt(n) / abs(phases[i] - phases[i + 1])) / 2
+        c, s = np.cos(t), np.sin(t)
+        W[:, [i, i + 1]] = W[:, [i, i + 1]] @ np.array([[c, -s], [s, c]])
+    return W
+
+
+class TestOneJudge:
+    """``classical_form`` and ``decompose``'s classical route share one
+    split-and-certify call, whose bounds are the tightest either had."""
+
+    N, SHARE = 8, 0.6  # the aggregate is 0.6 * sqrt(8) = 1.7 times the bound
+
+    @pytest.fixture
+    def spread_split(self, monkeypatch):
+        """A splitter whose columns each pass the per-summand checks, while
+        their off-diagonal mass together exceeds tol*sqrt(n)."""
+        X, W = rotations(self.N), pair_mixed(self.N, self.SHARE)
+        bound = 1e-9 * np.sqrt(self.N)
+        per_column = np.linalg.norm(X.A @ W - W @ np.diag(np.diag(adjoint(W) @ X.A @ W)), axis=0)
+        assert np.all(per_column <= bound) and np.linalg.norm(per_column) > 1.5 * bound
+        assert frobenius(adjoint(W) @ W - np.eye(self.N)) <= 1e-15
+        monkeypatch.setattr(certify, "_seeded_split", lambda *_args: (W, [self.N]))
+        return X
+
+    MASS = r"^off-diagonal mass 4\.8\d\de-09 exceeds 2\.828e-09$"
+
+    def test_classical_form_bounds_the_aggregate(self, spread_split):
+        with pytest.raises(NotSimultaneouslyDiagonalizable, match=self.MASS):
+            classical_form(spread_split)
+
+    def test_certify_exits_one_on_the_aggregate(self, spread_split, tmp_path, capsys):
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(canonical_dual(spread_split).to_json()), encoding="utf-8")
+        code = main(["certify", "--input", str(path), "--reproducible"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 1 and payload["report"]["overall_pass"] and "classical" not in payload
+        assert re.match(self.MASS, payload["error"])
+
+    def test_decompose_leaves_the_classical_route(self, spread_split, monkeypatch):
+        from circleact import category
+
+        taken = []
+        commutant = category._decompose_commutant
+        monkeypatch.setattr(category, "_decompose_commutant",
+                            lambda *args: taken.append(args) or commutant(*args))
+        decomp = category.decompose(spread_split)
+        assert len(taken) == 1 and decomp.widths == (1,) * self.N
+
+    def test_unitarity_is_judged_before_ambiguity(self, monkeypatch):
+        # The half-weight slot is ambiguous at tol 0.51; a basis twice a
+        # unitary is refused by the certifier first.
+        half = np.array([[np.sqrt(0.5)]])
+        obj = LinearObject(1, half, half)
+        with pytest.raises(AmbiguousSlot):
+            classical_form(obj, tol=0.51)
+        monkeypatch.setattr(certify, "_seeded_split", lambda *_args: (2 * np.eye(1) + 0j, [1]))
+        message = r"^summand 0 isometry is not orthonormal: 3\.000e\+00 exceeds 5\.100e-01$"
+        with pytest.raises(NotSimultaneouslyDiagonalizable, match=message):
+            classical_form(obj, tol=0.51)
+
+    def test_one_split_and_one_certification(self, monkeypatch):
+        calls = []
+        for name in ("_seeded_split", "_certified_decomposition"):
+            inner = getattr(certify, name)
+            monkeypatch.setattr(certify, name, lambda *args, name=name, inner=inner:
+                                calls.append(name) or inner(*args))
+        classical_form(sample_classical(5, seed=2).object)
+        assert calls == ["_seeded_split", "_certified_decomposition"]
 
 
 class TestClassicalForm:

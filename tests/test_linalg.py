@@ -230,6 +230,24 @@ class TestSplitByGaps:
     def test_empty(self):
         assert split_by_gaps(np.array([]), 1.0) == []
 
+    SPECTRA = {
+        "empty": np.array([]),
+        "one_value": np.array([0.3]),
+        "all_distinct": np.arange(12.0),
+        "all_equal": np.full(12, 2.5),
+        **{f"random{i}": np.sort(np.round(np.random.default_rng(i).standard_normal(12), 1))
+           for i in range(8)},
+    }
+
+    @pytest.mark.parametrize("values", SPECTRA.values(), ids=SPECTRA.keys())
+    @pytest.mark.parametrize("gap", [0.0, 0.05, 0.5])
+    def test_same_runs_as_np_split(self, values, gap):
+        # The runs np.split cut from the break indices, in value and dtype.
+        breaks = np.nonzero(np.diff(values) > gap)[0]
+        want = list(np.split(np.arange(values.size), breaks + 1)) if values.size else []
+        got = split_by_gaps(values, gap)
+        assert [(g.dtype, g.tolist()) for g in got] == [(w.dtype, w.tolist()) for w in want]
+
 
 class TestJsonCodecs:
     def test_matrix_round_trip(self):

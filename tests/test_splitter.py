@@ -13,6 +13,7 @@ left in the same state.
 import numpy as np
 import pytest
 
+from circleact import certify
 from circleact.category import conjugate_object, direct_sum, morphism_space, tensor_product
 from circleact.certify import _seeded_split, split_hermitian
 from circleact.coaction import LinearObject
@@ -185,3 +186,35 @@ def test_the_eigenvectors_above_hold_signed_or_exact_zeros(kind):
         zeros = (U == 0) if kind == "sparse" else np.signbit(U.imag) & (U.imag == 0)
         found += zeros.sum()
     assert found > 0
+
+
+class FirstWord(Exception):
+    """Raised by a stand-in eigensolver once it has been handed a word."""
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_the_word_is_np_tensordot_bit_for_bit(k, monkeypatch):
+    # split_hermitian forms its word as np.tensordot does, without the
+    # wrapper: the (1, k) coefficients times the (k, m * m) family.  Its
+    # bytes must be np.tensordot's at every size; a 1 x 1 family is final
+    # before any word is drawn.
+    words = []
+
+    def first(H):
+        words.append(H)
+        raise FirstWord
+
+    monkeypatch.setattr(certify, "hermitian_eig", first)
+    for m in range(1, 41):
+        rng = np.random.default_rng((k, m))
+        R = rng.standard_normal((k, m, m)) + 1j * rng.standard_normal((k, m, m))
+        family = R + R.conj().transpose(0, 2, 1)
+        drawn = seeded(k, m)
+        if m == 1:
+            assert len(split_hermitian(family, 1e-9, drawn)) == 1
+            assert drawn.bit_generator.state == seeded(k, m).bit_generator.state
+            continue
+        with pytest.raises(FirstWord):
+            split_hermitian(family, 1e-9, drawn)
+        want = np.tensordot(seeded(k, m).standard_normal(k), family, axes=1)
+        assert words[-1].shape == (m, m) and words[-1].tobytes() == want.tobytes()
