@@ -559,9 +559,10 @@ def oracle_certify(X, W, dims, tol):
     for k, (i, d) in enumerate(zip(np.cumsum([0, *dims[:-1]]), dims)):
         V = W[:, i : i + d]
         total = total + V @ adjoint(V)
+        ortho = frobenius(adjoint(V) @ V - np.eye(d))
         plus = frobenius(X.A @ V - V @ (adjoint(V) @ X.A @ V))
         minus = frobenius(X.B @ V - V @ (adjoint(V) @ X.B @ V))
-        for what, residual in (("isometry is not orthonormal", frobenius(adjoint(V) @ V - np.eye(d))),
+        for what, residual in (("isometry is not orthonormal", ortho),
                                ("does not intertwine the +1 coefficient", plus),
                                ("does not intertwine the -1 coefficient", minus)):
             if residual > check_tol:
@@ -607,11 +608,11 @@ class TestCertifiedDecomposition:
     from a valid one, the order in which failures are reported, and the
     loop it replaced."""
 
-    NUMBER = r"(nan|inf|\d\.\d{3}e[+-]\d\d) exceeds \d\.\d{3}e-09$"
-    ORTHONORMAL = r"^summand \d+ isometry is not orthonormal: " + NUMBER
-    PLUS = r"^summand \d+ does not intertwine the \+1 coefficient: " + NUMBER
-    MINUS = r"^summand \d+ does not intertwine the -1 coefficient: " + NUMBER
-    COMPLETE = r"^summand isometries do not resolve the identity: \|WW\*-I\| = " + NUMBER
+    EXCEEDS = r"(nan|inf|\d\.\d{3}e[+-]\d\d) exceeds \d\.\d{3}e-09$"  # residual, bound
+    ORTHONORMAL = r"^summand \d+ isometry is not orthonormal: " + EXCEEDS
+    PLUS = r"^summand \d+ does not intertwine the \+1 coefficient: " + EXCEEDS
+    MINUS = r"^summand \d+ does not intertwine the -1 coefficient: " + EXCEEDS
+    COMPLETE = r"^summand isometries do not resolve the identity: \|WW\*-I\| = " + EXCEEDS
 
     X = sample_classical(3, seed=8).object  # a reflection, a rotation, a reflection
     Y = _with_irreducible_block()  # blocks of two sizes
