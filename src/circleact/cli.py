@@ -32,7 +32,6 @@ import json
 import sys
 from dataclasses import fields
 from datetime import datetime, timezone
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
@@ -135,8 +134,15 @@ def _encode(o) -> str:
 
     The rules are ``json.encoder._make_iterencode``'s, without its generator
     chain: ``_append`` adds fragments to one list, joined once.  A list of
-    [re, im] float pairs (every matrix and vector ``data``) is one ``%`` format.
+    numbers alone (every matrix and vector ``data``) is written by orjson and
+    respelled where its spelling differs (see ``_numbers``).  One exception:
+    json refuses enum members that are not ints, and orjson writes their
+    values; no payload holds one.  orjson is imported on the first call, so
+    that importing this module does not load it.
     """
+    global orjson
+    import orjson
+
     parts = []
     _append(o, "\n", parts)
     return "".join(parts)
@@ -157,13 +163,13 @@ def _append(o, outer: str, parts: list) -> None:
                 _append(v, inner, parts)
         parts.append(outer + "}" if o else "{}")
     elif isinstance(o, (list, tuple)):
-        pairs = _float_pairs(o, outer, inner) if o else "[]"
-        if pairs is None:
+        numbers = _numbers(o, outer) if o else "[]"
+        if numbers is None:
             for i, x in enumerate(o):
                 parts.append(("," if i else "[") + inner)
                 _append(x, inner, parts)
-            pairs = outer + "]"
-        parts.append(pairs)
+            numbers = outer + "]"
+        parts.append(numbers)
     elif o is None or o is True or o is False:
         parts.append(_CONSTANTS[o])
     elif isinstance(o, str):
@@ -183,18 +189,45 @@ def _key(k) -> str:
     return k if isinstance(k, str) else _encode(k)
 
 
-def _float_pairs(o, outer: str, inner: str):
-    """o rendered if a list of finite [re, im] float pairs (items at ``inner``), else None."""
-    if set(map(type, o)) != {list} or set(map(len, o)) != {2}:
+def _numbers(o, outer: str):
+    """o rendered if lists of finite floats and 64-bit ints alone (closing at ``outer``), else None.
+
+    orjson writes the same shortest round-trip digits as ``float.__repr__``
+    and the same ints, but spells some floats otherwise: ``1e-7`` for
+    ``1e-07``, ``1e16`` for ``1e+16`` and ``0.00001`` for ``1e-05``.  Every
+    token holding ``e`` or ``0.0000`` is read back and written by
+    ``float.__repr__``, which is exact because the token round-trips.  Any
+    string, object, true, false or null (NaN and infinities come out as null)
+    refuses the list, as does any type orjson refuses.
+    """
+    if type(o[0]) is dict:  # orjson would write it all, only to be refused
         return None
-    floats = tuple(chain.from_iterable(o))
-    if set(map(type, floats)) != {float}:
+    try:
+        text = orjson.dumps(o, option=orjson.OPT_INDENT_2).decode()
+    except TypeError:  # a float subclass, numpy scalar, int beyond 64 bits, ...
         return None
-    deeper = inner + "  "
-    pair = "[" + deeper + "%r," + deeper + "%r" + inner + "]"
-    text = ("[" + inner + ("," + inner).join([pair] * len(o)) + outer + "]") % floats
-    # Only "nan" and "inf" put an "n" among the digits, signs, "." and "e".
-    return None if "n" in text else text
+    if '"' in text or "{" in text or "t" in text or "f" in text or "n" in text:
+        return None
+    # Every number sits on a line of its own, indented, with at most a
+    # comma after it.
+    spans = []
+    for needle in ("e", "0.0000"):
+        at = text.find(needle)
+        while at >= 0:
+            end = text.find("\n", at)
+            if text[end - 1] == ",":
+                end -= 1
+            spans.append((text.rfind(" ", 0, at) + 1, end))
+            at = text.find(needle, end)
+    if spans:
+        pieces, done = [], 0
+        for start, end in sorted(spans):
+            if start >= done:  # a token holding both needles is respelled once
+                pieces += text[done:start], float.__repr__(float(text[start:end]))
+                done = end
+        pieces.append(text[done:])
+        text = "".join(pieces)
+    return text.replace("\n", outer)
 
 
 def _prefixed(prefix: str, report: CertificateReport):

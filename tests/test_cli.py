@@ -655,6 +655,20 @@ class TestProcessState:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n[1, 1, 1, 2]\n(16, 16, 16)\n[]\n"
 
+    def test_orjson_loads_at_the_first_write(self):
+        # A process that imports the CLI and never writes, like perfbench's
+        # search set-up, does not pay for importing orjson.
+        code = textwrap.dedent("""
+            import sys
+            import circleact.cli
+            print("orjson" in sys.modules)
+            circleact.cli._encode([[1.0, 2.0]])
+            print("orjson" in sys.modules)
+        """)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\nTrue\n"
+
     def test_reused_parser_matches_fresh_runs(self, capsys):
         calls = [
             ["snake", "--n", "2", "--reproducible"],
@@ -716,6 +730,32 @@ NEAR_PAIRS = st.builds(
     st.integers(0, 4),
     ODD_ITEMS,
 )
+# Finite floats and ints, 64-bit and beyond, the leaves orjson writes or refuses.
+NUMBERS = st.one_of(
+    FINITE_FLOATS,
+    st.integers(),
+    st.integers(2**63 - 2, 2**64 + 2),
+    st.integers(-(2**63) - 2, -(2**63) + 2),
+    st.sampled_from([10**30, -(10**30)]),
+)
+# Where float.__repr__ changes spelling: signed zero, the subnormals, the
+# exponent band below 1e-4, the plain band's ends and the largest float.
+SPELLING_BOUNDARIES = [0.0, 5e-324, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1.5e-5, 9.999e-5, 1e-4,
+                       10.00001, 9.999e15, 1e16, 1e22, 1.7976931348623157e308]
+
+
+def number_lists(depth):
+    """Lists nested up to ``depth`` deep whose leaves are finite floats and ints."""
+    tree = st.lists(NUMBERS, max_size=6)
+    for _ in range(depth):
+        tree = st.lists(st.one_of(tree, NUMBERS), max_size=3)
+    return tree
+
+
+class HalfFloat(float):
+    """A float subclass, which orjson refuses and json writes as a float."""
+
+
 # One key type per dict: json.dumps cannot sort mixed ones either.
 KEYS = [TEXT, st.integers(), PLAIN_FLOATS, st.booleans(), st.none()]
 JSON_TREES = st.recursive(
@@ -830,6 +870,35 @@ class TestWriter:
         assert cli._encode(payload) == dumps(payload)
         timestamp = json.loads(out)["timestamp"]
         assert out == dumps(payload | {"timestamp": timestamp}) + "\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 4).flatmap(number_lists), st.integers(0, 5))
+    def test_number_lists_match_json_dumps(self, tree, depth):
+        for _ in range(depth):
+            tree = {"data": tree}
+        assert outcome(cli._encode, tree) == outcome(dumps, tree)
+
+    @pytest.mark.parametrize("x", SPELLING_BOUNDARIES, ids=repr)
+    def test_spelling_boundaries(self, x):
+        for tree in ([x, -x], {"data": [[x, -x], [1.0, x]]}, [[[x]], 0, [-x, 7]]):
+            assert cli._encode(tree) == dumps(tree)
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(28).integers(0, 2**64, size=10**5, dtype=np.uint64)
+        floats = [x for x in bits.view(np.float64).tolist() if math.isfinite(x)]
+        assert len(floats) > 99_000
+        for i in range(0, len(floats) - 1, 2000):
+            tree = {"data": [floats[j:j + 2] for j in range(i, min(i + 2000, len(floats)) - 1, 2)]}
+            assert cli._encode(tree) == dumps(tree)
+
+    @pytest.mark.parametrize("leaf", [float("nan"), float("inf"), float("-inf"), None, True, False,
+                                      "x", {"re": 1.0}, np.float64(2.5), np.int64(3),
+                                      HalfFloat(0.5), HalfFloat(1e-7)], ids=repr)
+    def test_number_list_fallbacks(self, leaf):
+        # Each leaf sends the list it sits in, and every list around it, back
+        # to the per-item walk, beside numbers that need respelling.
+        tree = {"data": [[1e-7, 2.0], [leaf, 1.5e-5], [[leaf]], 1e16]}
+        assert outcome(cli._encode, tree) == outcome(dumps, tree)
 
 
 # JSON values of every type; a replacement is drawn among those whose
