@@ -21,7 +21,10 @@ Identical invocations produce byte identical output, except for the
 "timestamp" field that --reproducible suppresses, on the same BLAS kernel
 with the same thread count and library versions; another BLAS kernel may
 change the last digits of floats.  The text written is exactly
-``json.dumps(payload, indent=2, sort_keys=True)`` and a newline.
+``json.dumps(payload, indent=2, sort_keys=True)`` and a newline.  Lists
+of numbers alone, every matrix and vector ``data``, are written by orjson
+(imported at the first write) and respelled to ``float.__repr__``'s
+spelling where the two differ.
 """
 
 from __future__ import annotations
